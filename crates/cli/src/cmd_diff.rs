@@ -1,8 +1,12 @@
 //! `typefuse diff` — structural drift between two datasets or schemas.
+//!
+//! Exit codes: 0 no drift, 1 drift found, 2 usage error, and the
+//! ingest codes of `infer` for unreadable (4) or malformed (3) input.
 
 use crate::args::ArgStream;
 use crate::{CliError, CliResult};
-use typefuse::JobConfig;
+use typefuse::pipeline::Source;
+use typefuse::{IoSite, JobConfig};
 use typefuse_types::diff::diff;
 use typefuse_types::{parse_type, Type};
 
@@ -39,16 +43,27 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
 }
 
 fn load_schema(path: &str) -> Result<Type, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    parse_type(text.trim()).map_err(|e| CliError::runtime(format!("invalid schema in {path}: {e}")))
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        let mapped = crate::ingest_error(typefuse::Error::io_at(e, IoSite::default()));
+        CliError::with_code(
+            format!("cannot read {path}: {}", mapped.message),
+            mapped.code,
+        )
+    })?;
+    parse_type(text.trim())
+        .map_err(|e| CliError::with_code(format!("invalid schema in {path}: {e}"), 3))
 }
 
+/// Infer one side through the same fold as `infer`.
 fn infer_schema(input: &str) -> Result<Type, CliError> {
-    let values = crate::cmd_infer::read_values(Some(input), &typefuse_obs::Recorder::disabled())?;
-    Ok(JobConfig::new()
+    let reader = crate::cmd_infer::open_input(Some(input))?;
+    let result = JobConfig::new()
         .without_type_stats()
         .build()
-        .run_values(values)
-        .schema)
+        .run(Source::ndjson(reader))
+        .map_err(|e| {
+            let mapped = crate::ingest_error(e);
+            CliError::with_code(format!("{input}: {}", mapped.message), mapped.code)
+        })?;
+    Ok(result.schema)
 }

@@ -1,19 +1,20 @@
 //! `typefuse infer` — the full pipeline over an NDJSON input.
+//!
+//! File and stdin input, plain and profiled runs all take the library's
+//! one bounded-memory fold, so every flag composes with every other.
 
 use crate::args::ArgStream;
 use crate::job_args::JobFlags;
 use crate::{CliError, CliResult};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
-use typefuse::pipeline::{dedup_auto_sample, DedupMode, MapPath, Source};
-use typefuse::splits::IngestOptions;
+use typefuse::pipeline::{Source, TypeStats};
 use typefuse::{BadRecord, ErrorPolicy, ErrorReport, IoSite, RetryPolicy};
-use typefuse_engine::{Dataset, ReducePlan};
-use typefuse_infer::{ArrayFusion, Counting, CountingFuser, DedupCounting, FuseConfig, Fuser};
-use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
-use typefuse_json::{ErrorKind, NdjsonReader, ParserOptions, Position, Value};
+use typefuse_infer::{ArrayFusion, FuseConfig};
+use typefuse_json::{ErrorKind, NdjsonReader, ParserOptions, Value};
 use typefuse_obs::Recorder;
 use typefuse_types::export::to_json_schema_document;
+use typefuse_types::Type;
 
 pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let input = args.next_positional();
@@ -21,10 +22,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         .option("--format")?
         .unwrap_or_else(|| "pretty".to_string());
     let stats = args.flag("--stats");
-    let counting = args.flag("--counting");
     let positional_arrays = args.flag("--positional-arrays");
-    let sequential_reduce = args.flag("--sequential-reduce");
-    let streaming = args.flag("--streaming");
     let maplike = args.flag("--maplike");
     let profile_json = args.option("--profile-json")?;
     let metrics_json = args.option("--metrics-json")?;
@@ -32,13 +30,6 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let progress = args.flag("--progress");
     let flags = JobFlags::parse(args)?;
     args.finish()?;
-
-    let map_path = flags.map_path;
-    let dedup = flags.dedup;
-    let max_depth = flags.max_depth;
-    let max_line_bytes = flags.max_line_bytes;
-    let policy = flags.policy.clone();
-    let parser_options = flags.parser_options();
 
     let observing = metrics_json.is_some() || trace_json.is_some() || progress;
     let recorder = if observing {
@@ -48,242 +39,104 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     };
     let heartbeat = progress.then(|| Heartbeat::start(recorder.clone()));
 
-    if counting && map_path == Some(MapPath::Events) {
-        return Err(CliError::usage(
-            "--counting reads record trees and needs the value path; drop --map-path events",
-        ));
-    }
-    if profile_json.is_some() && (streaming || counting || stats) {
-        return Err(CliError::usage(
-            "--profile-json runs its own fused pass and is incompatible with \
-             --streaming/--counting/--stats (the profile report supersedes them)",
-        ));
-    }
-    if profile_json.is_some() && !policy.is_fail_fast() {
-        return Err(CliError::usage(
-            "the profiled pass is fail-fast; drop --on-error/--quarantine or --profile-json",
-        ));
-    }
-    if profile_json.is_some() && (max_depth.is_some() || max_line_bytes.is_some()) {
-        return Err(CliError::usage(
-            "--max-depth/--max-line-bytes are not supported with --profile-json",
-        ));
-    }
-    if dedup == DedupMode::On && profile_json.is_some() {
-        return Err(CliError::usage(
-            "--dedup on has no effect on the profiled pass; drop --profile-json or --dedup",
-        ));
-    }
-    if dedup == DedupMode::On && streaming {
-        return Err(CliError::usage(
-            "--dedup on needs the partitioned reduce; drop --streaming or --dedup",
-        ));
-    }
-
-    if streaming {
-        if stats || counting {
-            return Err(CliError::usage(
-                "--streaming is incompatible with --stats/--counting",
-            ));
-        }
-        let outcome = run_streaming(
-            input.as_deref(),
-            positional_arrays,
-            &policy,
-            &parser_options,
-            max_line_bytes,
-            &recorder,
-        );
-        if let Some(hb) = heartbeat {
-            hb.finish();
-        }
-        let (schema, errors) = outcome?;
-        print_schema(&schema, &format)?;
-        report_skipped(&errors, &policy);
-        // Streaming has no pipeline stages; the report is the
-        // recorder's own counters, histograms, spans and trace.
-        write_observability(&recorder.snapshot(), &recorder, &metrics_json, &trace_json)?;
-        return Ok(());
-    }
-
     let mut config = flags.config(recorder.clone());
     if positional_arrays {
         config = config.fuse_config(FuseConfig {
             array_fusion: ArrayFusion::PositionalWhenAligned,
         });
     }
-    if sequential_reduce {
-        config = config.reduce_plan(ReducePlan::Sequential);
-    }
     if !stats {
         config = config.without_type_stats();
     }
     let job = config.build();
 
-    // The profiled route replaces the plain pipeline entirely: one
-    // fused Map+Reduce pass produces the schema, the per-path profile
-    // report (provenance lines, kind/length/numeric statistics) and the
-    // run report. Output is byte-identical for any worker/partition
-    // count and either --map-path (CI diffs it).
-    if let Some(profile_path) = profile_json {
-        let reader = open_input(input.as_deref())?;
-        let outcome = job.run_profiled(Source::ndjson(reader));
-        if let Some(hb) = heartbeat {
-            hb.finish();
-        }
-        let profiled = outcome.map_err(crate::ingest_error)?;
-        if maplike {
-            println!(
-                "{}",
-                typefuse_infer::maplike::summarize(
-                    &profiled.profile.schema,
-                    typefuse_infer::MapLikeConfig::default()
-                )
+    // The profiled run folds the same records into a per-path profile
+    // (provenance lines, kind/length/numeric statistics) instead of a
+    // bare schema; output is byte-identical for any worker count and
+    // either --map-path (CI diffs it).
+    let source = Source::ndjson(open_input(input.as_deref())?);
+    let outcome = match &profile_json {
+        Some(_) => job.run_profiled(source).map(|p| {
+            let timing = format!("total {:.3}s", p.wall.as_secs_f64());
+            let report = p.run_report(&recorder);
+            let profile = p.profile.to_json();
+            let summary = Summary {
+                records: p.records,
+                partitions: p.partitions,
+                type_stats: p.type_stats,
+                timing,
+            };
+            (p.profile.schema, p.errors, summary, report, Some(profile))
+        }),
+        None => job.run(source).map(|r| {
+            let timing = format!(
+                "map {:.3}s  reduce {:.3}s  total {:.3}s",
+                r.map_time.as_secs_f64(),
+                r.reduce_time.as_secs_f64(),
+                r.wall.as_secs_f64()
             );
-        } else {
-            print_schema(&profiled.profile.schema, &format)?;
-        }
-        crate::job_args::write_envelope(&profile_path, "profile", &profiled.profile.to_json())?;
-        write_observability(
-            &profiled.run_report(&recorder),
-            &recorder,
-            &metrics_json,
-            &trace_json,
-        )?;
-        return Ok(());
-    }
-
-    // Path statistics need the record trees, so `--counting` forces the
-    // value route: values are read once, the counting strategy runs on
-    // the engine's trait-driven reduce, and the timed pipeline reuses
-    // the same dataset only when something else (type statistics, a
-    // metrics report) requires it. Without `--counting` the input
-    // streams straight through the job's Map route (`--map-path`,
-    // events by default).
-    let ingest_report;
-    let (result, counted) = if counting {
-        let values = {
-            let _span = recorder.span("pipeline.read");
-            let (values, report) = read_values_with(
-                input.as_deref(),
-                &parser_options,
-                &policy,
-                max_line_bytes,
-                &recorder,
-            )?;
-            ingest_report = report;
-            values
-        };
-        let dataset = Dataset::from_vec(values, job.partitions);
-        // The counting reduce mirrors the pipeline's dedup routing: On
-        // (or Auto over a redundant sample) rides the shape-dedup
-        // strategy, which counts paths once per distinct shape weighted
-        // by multiplicity; totals and rows are identical either way.
-        let use_dedup = match dedup {
-            DedupMode::On => true,
-            DedupMode::Off => false,
-            DedupMode::Auto => {
-                let sample: Vec<_> = dataset
-                    .iter()
-                    .take(512)
-                    .map(typefuse_infer::infer_type)
-                    .collect();
-                dedup_auto_sample(sample.iter())
-            }
-        };
-        // Dedup counters are not flushed here: whenever they are
-        // observable (--metrics-json/--trace-json/--progress) the timed
-        // pipeline below also runs with the same dedup mode and reports
-        // them once.
-        let counted = if use_dedup {
-            let fuser = DedupCounting::new(job.fuse_config);
-            let (acc, _) = dataset.fuse_values(&job.runtime, job.reduce_plan, &fuser, &recorder);
-            acc.unwrap_or_else(|| fuser.empty()).finish()
-        } else {
-            let (acc, _) = dataset.fuse_values(&job.runtime, job.reduce_plan, &Counting, &recorder);
-            acc.unwrap_or_else(CountingFuser::new).finish()
-        };
-        let need_pipeline = stats || observing;
-        (
-            need_pipeline.then(|| job.run_dataset(&dataset)),
-            Some(counted),
-        )
-    } else {
-        let reader = open_input(input.as_deref())?;
-        let result = job
-            .run(Source::ndjson(reader))
-            .map_err(crate::ingest_error)?;
-        ingest_report = result.errors.clone();
-        (Some(result), None)
+            let report = r.run_report(&recorder);
+            let summary = Summary {
+                records: r.records,
+                partitions: r.partitions,
+                type_stats: r.type_stats,
+                timing,
+            };
+            (r.schema, r.errors, summary, report, None)
+        }),
     };
-    let schema = match (&counted, &result) {
-        // The counting fuser's schema and the pipeline's are identical;
-        // prefer the counted one so `--counting` output is self-consistent.
-        (Some(cs), _) => &cs.schema,
-        (None, Some(r)) => &r.schema,
-        (None, None) => unreachable!("at least one of counting/pipeline runs"),
-    };
-
     if let Some(hb) = heartbeat {
         hb.finish();
     }
+    let (schema, errors, summary, report, profile) = outcome.map_err(crate::ingest_error)?;
 
     if maplike {
         println!(
             "{}",
-            typefuse_infer::maplike::summarize(schema, typefuse_infer::MapLikeConfig::default())
+            typefuse_infer::maplike::summarize(&schema, typefuse_infer::MapLikeConfig::default())
         );
     } else {
-        print_schema(schema, &format)?;
+        print_schema(&schema, &format)?;
     }
-    report_skipped(&ingest_report, &policy);
-
+    report_skipped(&errors, &flags.policy);
     if stats {
-        let result = result.as_ref().expect("--stats forces the pipeline");
+        summary.print(&schema);
+    }
+    if let (Some(path), Some(profile)) = (&profile_json, profile) {
+        crate::job_args::write_envelope(path, "profile", &profile)?;
+    }
+    write_observability(&report, &recorder, &metrics_json, &trace_json)
+}
+
+/// The `--stats` lines (the Tables 2–5 columns and the run's timings).
+struct Summary {
+    records: u64,
+    partitions: usize,
+    type_stats: TypeStats,
+    timing: String,
+}
+
+impl Summary {
+    fn print(&self, schema: &Type) {
+        let s = &self.type_stats;
+        let fused = schema.size();
+        let ratio = if s.avg_size == 0.0 {
+            0.0
+        } else {
+            fused as f64 / s.avg_size
+        };
         eprintln!();
-        eprintln!("records           {}", result.records);
-        eprintln!("partitions        {}", result.partitions);
-        eprintln!("distinct types    {}", result.type_stats.distinct);
+        eprintln!("records           {}", self.records);
+        eprintln!("partitions        {}", self.partitions);
+        eprintln!("distinct types    {}", s.distinct);
         eprintln!(
             "type size         min {}  max {}  avg {:.1}",
-            result.type_stats.min_size, result.type_stats.max_size, result.type_stats.avg_size
+            s.min_size, s.max_size, s.avg_size
         );
-        eprintln!("fused type size   {}", result.fused_size);
-        eprintln!("compaction ratio  {:.2}", result.compaction_ratio());
-        eprintln!(
-            "map {:.3}s  reduce {:.3}s  total {:.3}s",
-            result.map_time.as_secs_f64(),
-            result.reduce_time.as_secs_f64(),
-            result.wall.as_secs_f64()
-        );
+        eprintln!("fused type size   {fused}");
+        eprintln!("compaction ratio  {ratio:.2}");
+        eprintln!("{}", self.timing);
     }
-
-    if let Some(cs) = counted {
-        eprintln!();
-        // The counting fuser's own total, not a pipeline measurement —
-        // with `--counting` alone the timed pipeline may not have run,
-        // so no timings are reported here.
-        eprintln!("records {}", cs.total);
-        eprintln!("{:<40} {:>10} {:>8}", "path", "count", "ratio");
-        for row in cs.rows().iter().take(40) {
-            eprintln!(
-                "{:<40} {:>10} {:>7.1}%",
-                row.path,
-                row.count,
-                row.ratio * 100.0
-            );
-        }
-    }
-
-    if let Some(result) = &result {
-        write_observability(
-            &result.run_report(&recorder),
-            &recorder,
-            &metrics_json,
-            &trace_json,
-        )?;
-    }
-    Ok(())
 }
 
 /// Tell the operator on stderr what the error policy dropped.
@@ -383,137 +236,19 @@ fn print_schema(schema: &typefuse_types::Type, format: &str) -> CliResult {
     Ok(())
 }
 
-/// Constant-memory path: infer each line's type directly from its text
-/// (no value tree) and fuse it into a running schema. Real files are
-/// processed with parallel byte-range splits (`typefuse::splits`);
-/// stdin falls back to a sequential line loop.
-fn run_streaming(
-    input: Option<&str>,
-    positional_arrays: bool,
-    policy: &ErrorPolicy,
-    parser: &ParserOptions,
-    max_line_bytes: Option<usize>,
-    recorder: &Recorder,
-) -> Result<(typefuse_types::Type, ErrorReport), CliError> {
-    if let Some(path) = input.filter(|p| *p != "-") {
-        if positional_arrays {
-            return Err(CliError::usage(
-                "--positional-arrays is not supported with file-parallel --streaming",
-            ));
-        }
-        if max_line_bytes.is_some() {
-            return Err(CliError::usage(
-                "--max-line-bytes is not supported with file-parallel --streaming \
-                 (the line-size guard would desynchronise split ownership)",
-            ));
-        }
-        let options = IngestOptions {
-            policy: policy.clone(),
-            retry: RetryPolicy::default(),
-            parser: parser.clone(),
-        };
-        let fs = typefuse::splits::infer_file_schema_with(
-            std::path::Path::new(path),
-            &typefuse_engine::Runtime::default(),
-            &options,
-            recorder,
-        )
-        .map_err(|e| {
-            let mapped = crate::ingest_error(e);
-            CliError::with_code(format!("{path}: {}", mapped.message), mapped.code)
-        })?;
-        return Ok((fs.schema, fs.errors));
-    }
-    let reader: Box<dyn Read> = Box::new(io::stdin());
-    let mut cfg = FuseConfig::default();
-    if positional_arrays {
-        cfg.array_fusion = ArrayFusion::PositionalWhenAligned;
-    }
-    let mut acc = typefuse_infer::Incremental::with_config(cfg);
-    let mut reader = BufReader::new(reader);
-    let mut line: Vec<u8> = Vec::new();
-    let mut line_no = 0u64;
-    let mut report = ErrorReport::new();
-    let keeps_text = policy.keeps_text();
-    let note_bad = |report: &mut ErrorReport,
-                    line_no: u64,
-                    error: typefuse_json::Error,
-                    text: &[u8]|
-     -> Result<(), CliError> {
-        recorder.add("json.parse_errors", 1);
-        if policy.is_fail_fast() {
-            return Err(crate::ingest_error(typefuse::Error::Parse(error)));
-        }
-        report.note(BadRecord {
-            at: line_no,
-            error,
-            text: keeps_text.then(|| String::from_utf8_lossy(text).into_owned()),
-        });
-        Ok(())
-    };
-    loop {
-        line.clear();
-        let raw = read_line_bounded(
-            &mut reader,
-            &mut line,
-            max_line_bytes,
-            RetryPolicy::default(),
-            recorder,
-        )
-        .map_err(|e| {
-            crate::ingest_error(typefuse::Error::io_at(e, IoSite::line(line_no as u32 + 1)))
-        })?;
-        if raw.consumed == 0 {
-            break;
-        }
-        recorder.add("json.bytes", raw.consumed as u64);
-        line_no += 1;
-        if raw.truncated {
-            let cap = max_line_bytes.unwrap_or(usize::MAX);
-            let error = typefuse_json::Error::at(
-                ErrorKind::RecordTooLarge(cap),
-                Position {
-                    offset: 0,
-                    line: line_no as u32,
-                    column: 1,
-                },
-            );
-            note_bad(&mut report, line_no, error, &line)?;
-            continue;
-        }
-        let trimmed = trim_ascii_bytes(&line);
-        if trimmed.is_empty() {
-            continue;
-        }
-        match typefuse_infer::streaming::infer_with_options(trimmed, parser.clone()) {
-            Ok(ty) => {
-                recorder.add("json.records", 1);
-                acc.absorb_type(ty);
-            }
-            Err(e) => {
-                // Re-anchor at the stream line for actionable messages.
-                let mut pos = e.span().start;
-                pos.line = line_no as u32;
-                let anchored = typefuse_json::Error::at(e.kind().clone(), pos);
-                note_bad(&mut report, line_no, anchored, trimmed)?;
-            }
-        }
-    }
-    policy
-        .enforce(&report, recorder)
-        .map_err(crate::ingest_error)?;
-    recorder.add("records", acc.count());
-    Ok((acc.into_schema(), report))
-}
-
 /// Open NDJSON input (file path, `-`, or absent = stdin) as a buffered
-/// reader for [`Source::ndjson`].
+/// reader for [`Source::ndjson`]. A file that cannot be opened is an
+/// input I/O error (exit 4), like a read that fails later.
 pub(crate) fn open_input(input: Option<&str>) -> Result<Box<dyn BufRead>, CliError> {
     let reader: Box<dyn Read> = match input {
         None | Some("-") => Box::new(io::stdin()),
-        Some(path) => Box::new(
-            File::open(path).map_err(|e| CliError::runtime(format!("cannot open {path}: {e}")))?,
-        ),
+        Some(path) => Box::new(File::open(path).map_err(|e| {
+            let mapped = crate::ingest_error(typefuse::Error::io_at(e, IoSite::default()));
+            CliError::with_code(
+                format!("cannot open {path}: {}", mapped.message),
+                mapped.code,
+            )
+        })?),
     };
     Ok(Box::new(BufReader::new(reader)))
 }
@@ -524,13 +259,7 @@ pub(crate) fn read_values(
     input: Option<&str>,
     recorder: &Recorder,
 ) -> Result<Vec<Value>, CliError> {
-    let reader: Box<dyn Read> = match input {
-        None | Some("-") => Box::new(io::stdin()),
-        Some(path) => Box::new(
-            File::open(path).map_err(|e| CliError::runtime(format!("cannot open {path}: {e}")))?,
-        ),
-    };
-    NdjsonReader::new(BufReader::new(reader))
+    NdjsonReader::new(open_input(input)?)
         .with_recorder(recorder.clone())
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| CliError::runtime(format!("parse error: {e}")))
@@ -546,17 +275,7 @@ pub(crate) fn read_values_with(
     max_line_bytes: Option<usize>,
     recorder: &Recorder,
 ) -> Result<(Vec<Value>, ErrorReport), CliError> {
-    let reader: Box<dyn Read> = match input {
-        None | Some("-") => Box::new(io::stdin()),
-        Some(path) => Box::new(File::open(path).map_err(|e| {
-            let mapped = crate::ingest_error(typefuse::Error::io_at(e, IoSite::default()));
-            CliError::with_code(
-                format!("cannot open {path}: {}", mapped.message),
-                mapped.code,
-            )
-        })?),
-    };
-    let mut ndjson = NdjsonReader::with_options(BufReader::new(reader), parser.clone())
+    let mut ndjson = NdjsonReader::with_options(open_input(input)?, parser.clone())
         .with_recorder(recorder.clone())
         .with_retry(RetryPolicy::default());
     if let Some(cap) = max_line_bytes {

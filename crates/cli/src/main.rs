@@ -94,27 +94,29 @@ USAGE:
 
 COMMANDS:
     infer [FILE|-]       infer a schema from NDJSON input (default: stdin)
-        --partitions N     dataset partitions (default: 4 x workers)
+                         in one streaming pass: memory stays bounded by
+                         a few MB of input per worker plus the schema,
+                         whatever the input size; every flag composes
         --workers N        worker threads (default: all cores)
+        --partitions N     in-memory partitions; no effect on text input
         --format F         text | pretty | json-schema  (default: pretty)
         --stats            print type statistics (Tables 2-5 columns)
-        --counting         print per-path presence statistics
-        --map-path P       events | value: Map phase folds parser events
-                           directly into types (default) or materialises
-                           value trees first (differential testing)
-        --dedup M          auto | on | off: reduce over distinct shapes
-                           only (hash-consed interning + memoized
-                           fusion); auto samples the input and dedups
+        --map-path P       events | value | shape: fold parser events
+                           directly into types (default), materialise
+                           value trees first (differential testing), or
+                           serve repeated raw shapes from a signature
+                           cache
+        --dedup M          auto | on | off: fuse over distinct shapes
+                           (hash-consed interning + memoized fusion);
+                           auto samples the first records and dedups
                            when shapes repeat. Output is byte-identical
                            either way (default: auto)
         --positional-arrays  keep aligned positional arrays (ablation)
-        --sequential-reduce  fold partials sequentially instead of tree
-        --streaming          constant-memory single pass (no value trees)
         --maplike            summarise ids-as-keys records as {<key>: T}
-        --profile-json F     run the profiled pipeline and write the
-                             per-path dataset profile (presence, kinds,
-                             length histograms, provenance lines) to F;
-                             byte-identical for any --workers/--map-path
+        --profile-json F     fold a per-path dataset profile (presence
+                             counts, kinds, length histograms, provenance
+                             lines) and write it to F; byte-identical
+                             for any --workers/--map-path
         --metrics-json F     write a structured run report (counters,
                              histograms, per-task timings) as JSON to F
         --trace-json F       write a Chrome trace to F (load in Perfetto
@@ -162,7 +164,9 @@ COMMANDS:
         plus the shared ingest flags: --on-error, --quarantine,
         --max-errors, --max-line-bytes (see infer)
 
-    diff OLD NEW         structural drift between two NDJSON datasets
+    diff OLD NEW         structural drift between two NDJSON datasets;
+                         exit 1 only when drift is found (input errors
+                         exit 3/4 as in infer)
         --schemas          treat OLD/NEW as schema files instead of data
 
     query [FILE|-]       run a schema-checked pipeline over NDJSON data
@@ -255,7 +259,7 @@ COMMANDS:
 EXIT CODES:
     0  success        2  usage error      4  input I/O error
     1  other failure  3  parse error      5  --max-errors budget exceeded
-                                          6  perf regression (bench compare)
+       (diff: drift)                      6  perf regression (bench compare)
 ";
 
 fn main() -> ExitCode {

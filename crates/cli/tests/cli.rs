@@ -268,30 +268,32 @@ fn diff_schemas_mode() {
 }
 
 #[test]
-fn streaming_infer_matches_batch() {
+fn stdin_infer_matches_file_infer() {
     let data = "{\"a\":1}\n{\"a\":\"x\",\"b\":[1,2]}\n{\"b\":[]}\n";
-    let batch = typefuse(&["infer", "-", "--format", "text"], Some(data));
-    let streaming = typefuse(
-        &["infer", "-", "--format", "text", "--streaming"],
-        Some(data),
-    );
-    assert!(batch.status.success() && streaming.status.success());
-    assert_eq!(stdout(&batch), stdout(&streaming));
+    let dir = std::env::temp_dir().join("typefuse-cli-test-stdin");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("data-{}.ndjson", std::process::id()));
+    std::fs::write(&path, data).unwrap();
+    let from_file = typefuse(&["infer", path.to_str().unwrap(), "--format", "text"], None);
+    let from_stdin = typefuse(&["infer", "-", "--format", "text"], Some(data));
+    let _ = std::fs::remove_file(&path);
+    assert!(from_file.status.success() && from_stdin.status.success());
+    assert_eq!(stdout(&from_file), stdout(&from_stdin));
 }
-
 #[test]
-fn streaming_rejects_stats() {
-    let out = typefuse(&["infer", "-", "--streaming", "--stats"], Some("{}\n"));
-    assert_eq!(out.status.code(), Some(2));
+fn removed_flags_are_usage_errors() {
+    for flag in ["--streaming", "--counting", "--sequential-reduce"] {
+        let out = typefuse(&["infer", "-", flag], Some("{}\n"));
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(stderr(&out).contains(flag), "{flag}: {}", stderr(&out));
+    }
 }
-
 #[test]
-fn streaming_reports_line_numbers_on_errors() {
-    let out = typefuse(&["infer", "-", "--streaming"], Some("{}\n{bad\n"));
+fn stdin_errors_report_line_numbers() {
+    let out = typefuse(&["infer", "-"], Some("{}\n{bad\n"));
     assert_eq!(out.status.code(), Some(3), "parse errors exit 3");
     assert!(stderr(&out).contains("line 2"), "stderr: {}", stderr(&out));
 }
-
 #[test]
 fn query_runs_checked_pipelines() {
     let dir = std::env::temp_dir().join("typefuse-cli-test-query");
@@ -353,30 +355,56 @@ fn query_against_explicit_schema() {
 }
 
 #[test]
-fn streaming_file_uses_parallel_splits() {
-    let dir = std::env::temp_dir().join("typefuse-cli-test-splits");
+fn file_and_stdin_agree_across_workers_and_routes() {
+    // About 2.5 MB, so the input spans several slabs of the fold.
+    let dir = std::env::temp_dir().join("typefuse-cli-test-slabs");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("data.ndjson");
-    let contents: String = (0..200)
-        .map(|i| format!("{{\"n\":{i},\"s\":\"{}\"}}\n", "x".repeat(i % 40)))
+    let path = dir.join(format!("data-{}.ndjson", std::process::id()));
+    let contents: String = (0..24_000)
+        .map(|i| match i % 3 {
+            0 => format!("{{\"n\":{i},\"s\":\"{}\"}}\n", "x".repeat(i % 80)),
+            1 => format!("{{\"n\":\"{i}\",\"a\":[{i},true]}}\n"),
+            _ => format!("{{\"m\":{{\"k\":null}},\"a\":[{i}]}}\n"),
+        })
         .collect();
     std::fs::write(&path, &contents).unwrap();
+    let file = path.to_str().unwrap();
 
-    let parallel = typefuse(
-        &[
-            "infer",
-            path.to_str().unwrap(),
-            "--streaming",
+    let baseline = typefuse(&["infer", file, "--format", "text", "--workers", "1"], None);
+    assert!(baseline.status.success(), "stderr: {}", stderr(&baseline));
+    for workers in ["1", "2", "4"] {
+        for route in [
+            vec![],
+            vec!["--dedup", "on"],
+            vec!["--map-path", "shape"],
+            vec!["--map-path", "value"],
+        ] {
+            let mut args = vec!["--format", "text", "--workers", workers];
+            args.extend(&route);
+            let from_file = typefuse(&[&["infer", file], &args[..]].concat(), None);
+            let from_stdin = typefuse(&[&["infer", "-"], &args[..]].concat(), Some(&contents));
+            assert_eq!(stdout(&from_file), stdout(&baseline), "{workers} {route:?}");
+            assert_eq!(
+                stdout(&from_stdin),
+                stdout(&baseline),
+                "{workers} {route:?}"
+            );
+        }
+        // The positional-array ablation composes with stdin too.
+        let args = [
             "--format",
             "text",
-        ],
-        None,
-    );
-    let batch = typefuse(&["infer", path.to_str().unwrap(), "--format", "text"], None);
-    assert!(parallel.status.success(), "stderr: {}", stderr(&parallel));
-    assert_eq!(stdout(&parallel), stdout(&batch));
+            "--workers",
+            workers,
+            "--positional-arrays",
+        ];
+        let from_file = typefuse(&[&["infer", file], &args[..]].concat(), None);
+        let from_stdin = typefuse(&[&["infer", "-"], &args[..]].concat(), Some(&contents));
+        assert!(from_file.status.success(), "stderr: {}", stderr(&from_file));
+        assert_eq!(stdout(&from_file), stdout(&from_stdin), "{workers}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
-
 #[test]
 fn registry_publish_and_gate() {
     let dir = std::env::temp_dir().join("typefuse-cli-test-registry");
@@ -540,8 +568,8 @@ fn infer_metrics_json_emits_a_structured_report() {
 }
 
 #[test]
-fn infer_streaming_metrics_count_splits() {
-    let dir = std::env::temp_dir().join("typefuse-cli-test-metrics-streaming");
+fn infer_metrics_count_records_and_io() {
+    let dir = std::env::temp_dir().join("typefuse-cli-test-metrics-io");
     std::fs::create_dir_all(&dir).unwrap();
     let data = dir.join("data.ndjson");
     let contents: String = (0..80).map(|i| format!("{{\"n\":{i}}}\n")).collect();
@@ -552,7 +580,6 @@ fn infer_streaming_metrics_count_splits() {
         &[
             "infer",
             data.to_str().unwrap(),
-            "--streaming",
             "--format",
             "text",
             "--metrics-json",
@@ -562,37 +589,16 @@ fn infer_streaming_metrics_count_splits() {
     );
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let report = typefuse_json::parse_value(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-    assert_eq!(
+    let counter = |name: &str| {
         report
-            .pointer("/payload/counters/records")
-            .unwrap()
-            .as_i64(),
-        Some(80)
-    );
-    assert!(
-        report
-            .pointer("/payload/counters/streaming.splits")
-            .unwrap()
-            .as_i64()
-            .unwrap()
-            >= 1
-    );
+            .pointer(&format!("/payload/counters/{name}"))
+            .and_then(|v| v.as_i64())
+    };
+    assert_eq!(counter("records"), Some(80));
+    assert_eq!(counter("json.records"), Some(80));
+    assert_eq!(counter("json.lines"), Some(80));
+    assert_eq!(counter("json.bytes"), Some(contents.len() as i64));
 }
-
-#[test]
-fn counting_reports_the_real_record_total() {
-    let out = typefuse(
-        &["infer", "-", "--counting", "--format", "text"],
-        Some("{\"a\":1}\n{\"a\":2,\"b\":[1]}\n{\"a\":3}\n"),
-    );
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let err = stderr(&out);
-    assert!(err.contains("records 3"), "stderr: {err}");
-    assert!(err.contains("path"), "stderr: {err}");
-    // Counting alone skips the timed pipeline, so no timings are shown.
-    assert!(!err.contains("map 0.000s"), "stderr: {err}");
-}
-
 #[test]
 fn progress_flag_is_accepted() {
     let out = typefuse(
@@ -737,17 +743,50 @@ fn profile_json_is_identical_across_workers_and_map_paths() {
 }
 
 #[test]
-fn profile_json_conflicts_with_streaming_counting_stats() {
-    for extra in ["--streaming", "--counting", "--stats"] {
-        let out = typefuse(
-            &["infer", "-", "--profile-json", "/tmp/unused.json", extra],
-            Some("{}\n"),
-        );
-        assert_eq!(out.status.code(), Some(2), "{extra}");
-        assert!(stderr(&out).contains("incompatible"), "{extra}");
-    }
-}
+fn profile_json_composes_with_stats_and_ingest_flags() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let profile = dir.join(format!("typefuse-test-profile-compose-{pid}.json"));
+    let profile = profile.to_str().unwrap();
+    let dirty = "{\"a\":1}\n{oops\n{\"a\":{\"b\":{\"c\":1}}}\n{\"pad\":\"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx\"}\n{\"a\":2}\n";
+    let out = typefuse(
+        &[
+            "infer",
+            "-",
+            "--format",
+            "text",
+            "--profile-json",
+            profile,
+            "--stats",
+            "--dedup",
+            "on",
+            "--on-error",
+            "skip",
+            "--max-depth",
+            "2",
+            "--max-line-bytes",
+            "40",
+        ],
+        Some(dirty),
+    );
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    // The bad line, the too-deep record and the oversized line are
+    // skipped; the profile and the stats see the two clean records.
+    assert_eq!(stdout(&out).trim(), "{a: Num}");
+    let err = stderr(&out);
+    assert!(err.contains("skipped 3 bad record(s)"), "stderr: {err}");
+    assert!(err.contains("records           2"), "stderr: {err}");
+    let report = std::fs::read_to_string(profile).expect("profile written");
+    let _ = std::fs::remove_file(profile);
+    assert!(report.contains("\"records\":2"), "{report}");
 
+    // Fail-fast (the default) reports the earliest bad line, as `infer`
+    // without a profile does.
+    let out = typefuse(&["infer", "-", "--profile-json", profile], Some(dirty));
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("line 2"), "stderr: {}", stderr(&out));
+    let _ = std::fs::remove_file(profile);
+}
 #[test]
 fn stats_and_check_write_metrics_json() {
     let dir = std::env::temp_dir();
@@ -817,7 +856,8 @@ fn skip_policy_agrees_across_routes() {
         vec!["--map-path", "events"],
         vec!["--map-path", "value"],
         vec!["--dedup", "on"],
-        vec!["--streaming"],
+        vec!["--map-path", "shape"],
+        vec!["--profile-json", "/dev/null"],
     ] {
         let mut args = vec!["infer", "-", "--format", "text", "--on-error", "skip"];
         args.extend(&route);
@@ -880,14 +920,6 @@ fn contradictory_error_flags_are_usage_errors() {
             "q.ndjson",
         ],
         vec!["infer", "-", "--on-error", "nonsense"],
-        vec![
-            "infer",
-            "-",
-            "--on-error",
-            "skip",
-            "--profile-json",
-            "p.json",
-        ],
     ] {
         let out = typefuse(&args, Some("{}\n"));
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
@@ -940,15 +972,37 @@ fn max_line_bytes_degrades_per_policy() {
 #[test]
 fn io_errors_exit_4() {
     let out = typefuse(&["infer", "/nonexistent/typefuse-input.ndjson"], None);
-    // `open` failures keep their "cannot open" message but an unreadable
-    // *stream* maps to 4; opening is a runtime error today. Exercise the
-    // streaming split reader, which maps to Error::Io.
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(4), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("cannot open"), "{}", stderr(&out));
     let out = typefuse(
-        &["infer", "/nonexistent/typefuse-input.ndjson", "--streaming"],
+        &[
+            "infer",
+            "/nonexistent/typefuse-input.ndjson",
+            "--profile-json",
+            "/dev/null",
+        ],
         None,
     );
     assert_eq!(out.status.code(), Some(4), "stderr: {}", stderr(&out));
+}
+
+#[test]
+fn diff_input_errors_use_ingest_exit_codes() {
+    let dir = std::env::temp_dir().join("typefuse-cli-test-diff-errors");
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = dir.join("good.ndjson");
+    let bad = dir.join("bad.ndjson");
+    std::fs::write(&good, "{\"a\":1}\n").unwrap();
+    std::fs::write(&bad, "{\"a\":1}\n{oops\n").unwrap();
+    let (good, bad) = (good.to_str().unwrap(), bad.to_str().unwrap());
+
+    let out = typefuse(&["diff", good, bad], None);
+    assert_eq!(out.status.code(), Some(3), "malformed: {}", stderr(&out));
+    assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
+    let out = typefuse(&["diff", "/nonexistent/typefuse-old.ndjson", good], None);
+    assert_eq!(out.status.code(), Some(4), "unreadable: {}", stderr(&out));
+    let out = typefuse(&["diff", good, good], None);
+    assert_eq!(out.status.code(), Some(0), "no drift: {}", stderr(&out));
 }
 
 // ---- serve: resident daemon end-to-end --------------------------------

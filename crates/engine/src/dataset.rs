@@ -161,27 +161,6 @@ impl<T: Send + Sync> Dataset<T> {
         Dataset::from_partitions(parts)
     }
 
-    /// [`Dataset::map_partitions`] with panic isolation and per-partition
-    /// metrics — the whole-partition analogue of
-    /// [`Dataset::try_map_metered`]. Used by map routes that carry
-    /// partition-local state (e.g. the shape-signature cache), which an
-    /// element-wise closure cannot hold.
-    pub fn try_map_partitions_metered<U, F>(
-        &self,
-        rt: &Runtime,
-        f: F,
-    ) -> (
-        Result<Dataset<U>, crate::runtime::WorkerPanic>,
-        StageMetrics,
-    )
-    where
-        U: Send,
-        F: Fn(usize, &[T]) -> Vec<U> + Sync,
-    {
-        let (parts, metrics) = rt.try_run_indexed(&self.partitions, |i, part: &Vec<T>| f(i, part));
-        (parts.map(Dataset::from_partitions), metrics)
-    }
-
     /// Parallel reduce with an associative operator: partition-local
     /// folds, then combination according to `plan`. `None` if the dataset
     /// is empty.

@@ -40,4 +40,4 @@ pub use background::{spawn_periodic, BackgroundTask, Tick};
 pub use dataset::Dataset;
 pub use metrics::{StageMetrics, TaskMetrics};
 pub use reduce::ReducePlan;
-pub use runtime::{Runtime, WorkerPanic};
+pub use runtime::{panic_message, Runtime, WorkerPanic};

@@ -51,7 +51,7 @@ impl std::fmt::Display for WorkerPanic {
 impl std::error::Error for WorkerPanic {}
 
 /// Render a caught panic payload as a string.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -13,7 +13,7 @@
 //! bit-identical to the by-reference fusion (property-tested), because
 //! both implement the same Figure 6 specification.
 
-use crate::fuse::{fuse_with, FuseConfig};
+use crate::fuse::{fuse_with, ArrayFusion, FuseConfig};
 use typefuse_types::{ArrayType, Field, RecordType, Type};
 
 /// Fuse `other` into `acc` in place: `*acc = Fuse(*acc, other)`, moving
@@ -60,6 +60,19 @@ fn lfuse_owned(cfg: FuseConfig, left: Type, right: &Type) -> Type {
         (Type::Array(a1), Type::Star(b2)) => {
             let collapsed = collapse_owned(cfg, a1);
             Type::star(fuse_owned(cfg, collapsed, b2))
+        }
+        // Aligned positional arrays stay positional under
+        // `PositionalWhenAligned`, exactly as in `fuse_with`.
+        (Type::Array(a1), Type::Array(a2))
+            if cfg.array_fusion == ArrayFusion::PositionalWhenAligned && a1.len() == a2.len() =>
+        {
+            let elems = a1
+                .into_elems()
+                .into_iter()
+                .zip(a2.elems())
+                .map(|(x, y)| fuse_owned(cfg, x, y))
+                .collect();
+            Type::Array(ArrayType::new(elems))
         }
         (Type::Array(a1), Type::Array(a2)) => {
             let collapsed = collapse_owned(cfg, a1);
@@ -188,6 +201,24 @@ mod tests {
         }
         let batch = fuse_all(&values.iter().map(infer_type).collect::<Vec<_>>());
         assert_eq!(acc, batch);
+    }
+
+    #[test]
+    fn positional_config_agrees_with_by_reference_fusion() {
+        let cfg = FuseConfig {
+            array_fusion: ArrayFusion::PositionalWhenAligned,
+        };
+        for (a, b) in [
+            ("{i: [Num, Num]}", "{i: [Num, Str]}"),
+            ("[[Num, Num], Bool]", "[[Num, Num], Null]"),
+            ("[Num, Num]", "[Num]"),
+            ("[Num, Num]", "[Str*]"),
+        ] {
+            let (ta, tb) = (parse_type(a).unwrap(), parse_type(b).unwrap());
+            let mut in_place = ta.clone();
+            fuse_into(cfg, &mut in_place, &tb);
+            assert_eq!(in_place, fuse_with(cfg, &ta, &tb), "fuse_into({a}, {b})");
+        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! The crate grew several concrete entry points for the same algebraic
 //! operation — [`fuse`](crate::fuse) / [`fuse_with`]
 //! (by-reference binary fusion), [`fuse_into`]
-//! (in-place accumulator fusion) and [`CountingFuser`](crate::counting)
-//! (fusion enriched with path statistics). Each caller — the pipeline,
-//! the CLI, the bench runner — picked one and wired its own closures
-//! into the engine's reduce. This trait captures the common shape
-//! (identity, absorb, merge, extract) so the engine's reduce is written
-//! once against it (see `typefuse_engine`'s `reduce_fused` /
-//! `fuse_values`) and strategies compose with any topology.
+//! (in-place accumulator fusion) and [`ProfileAcc`](crate::ProfileAcc)
+//! (fusion enriched with per-path statistics). Each caller — the
+//! pipeline, the CLI, the bench runner — picked one and wired its own
+//! closures into the engine's reduce. This trait captures the common
+//! shape (identity, absorb, merge, extract) so the engine's reduce is
+//! written once against it (see `typefuse_engine`'s `reduce_fused` /
+//! `reduce_items`) and strategies compose with any topology.
 //!
 //! All implementations must satisfy the paper's laws: `merge` is
 //! associative and commutative (Theorems 5.4/5.5) with [`empty`] as
@@ -40,7 +40,7 @@ pub trait Fuser: Sync {
 
     /// Fold one JSON value. The default infers the value's type
     /// (Figure 4) and absorbs it; strategies that need the value itself
-    /// (e.g. path counting) override this.
+    /// (e.g. profiling) override this.
     fn absorb_value(&self, acc: &mut Self::Acc, value: &Value) {
         self.absorb_type(acc, &infer_type(value));
     }
@@ -201,21 +201,5 @@ mod tests {
         let mut acc = acc;
         cfg.absorb_type(&mut acc, &Type::Num);
         assert!(!cfg.is_empty_acc(&acc));
-    }
-
-    #[test]
-    fn counting_strategy_through_the_trait() {
-        let counting = crate::counting::Counting;
-        let mut acc = counting.empty();
-        counting.absorb_value(&mut acc, &json!({"a": 1}));
-        counting.absorb_value(&mut acc, &json!({"a": "x", "b": null}));
-        assert!(!counting.is_empty_acc(&acc));
-        let mut other = counting.empty();
-        counting.absorb_value(&mut other, &json!({"a": true}));
-        counting.merge(&mut acc, &other);
-        assert_eq!(acc.count(), 3);
-        let cs = acc.finish();
-        assert_eq!(cs.path_counts["$.a"], 3);
-        assert_eq!(cs.schema.to_string(), "{a: Bool + Num + Str, b: Null?}");
     }
 }

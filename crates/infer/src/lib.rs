@@ -20,9 +20,8 @@
 //!   ablation bench;
 //! * [`Incremental`] — the incremental schema maintenance sketched in
 //!   Section 7 ("fusion is incremental by essence");
-//! * [`counting`] — the statistics enrichment named as future work in
-//!   Section 7: a fused schema annotated with per-field presence counts;
-//! * [`profile`] — the full data-plane profiler: per-path presence,
+//! * [`profile`] — the statistics enrichment named as future work in
+//!   Section 7, grown into a full data-plane profiler: per-path presence,
 //!   kind histograms, length/numeric statistics and provenance lines
 //!   (which input line introduced each union branch, which one demoted a
 //!   field to optional), mergeable with the same monoid laws as fusion;
@@ -34,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counting;
 pub mod dedup;
 mod fuse;
 pub mod fuse_inplace;
@@ -48,8 +46,7 @@ mod project;
 pub mod shape;
 pub mod streaming;
 
-pub use counting::{type_paths, CountedField, CountedSchema, Counting, CountingFuser};
-pub use dedup::{fuse_ids, DedupAcc, DedupCounting, DedupCountingAcc, DedupFuser, FuseCache};
+pub use dedup::{fuse_ids, DedupAcc, DedupFuser, FuseCache};
 pub use fuse::{collapse, fuse, fuse_all, fuse_with, kinds_present, ArrayFusion, FuseConfig};
 pub use fuse_inplace::fuse_into;
 pub use fuser::{Fuser, RecordedFuser};

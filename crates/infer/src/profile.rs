@@ -263,6 +263,8 @@ pub struct ProfileAcc {
     /// parallel partitions reports the same first error as a sequential
     /// one.
     first_error: Option<(u64, typefuse_json::Error)>,
+    /// Parser options every absorbed line is parsed with.
+    options: ParserOptions,
 }
 
 impl Default for ProfileAcc {
@@ -284,7 +286,15 @@ impl ProfileAcc {
             paths: BTreeMap::new(),
             children: BTreeMap::new(),
             first_error: None,
+            options: ParserOptions::default(),
         }
+    }
+
+    /// Parse absorbed lines with `options` (recursion limit,
+    /// duplicate-key handling) instead of the defaults.
+    pub fn with_parser_options(mut self, options: ParserOptions) -> Self {
+        self.options = options;
+        self
     }
 
     /// Records absorbed (across merges).
@@ -305,11 +315,17 @@ impl ProfileAcc {
     /// Absorb one already-materialised value observed at `line`
     /// (1-based; for in-memory sources the record ordinal).
     pub fn absorb_value_at(&mut self, line: u64, value: &Value) {
+        self.absorb_value_typed(line, value);
+    }
+
+    fn absorb_value_typed(&mut self, line: u64, value: &Value) -> Type {
         let mut facts = Facts::new();
         let mut path = String::from("$");
         observe_value(value, &mut path, &mut facts);
-        self.schema.absorb(value);
+        let ty = crate::infer::infer_type(value);
+        self.schema.absorb_type_ref(&ty);
         self.apply_facts(line, facts);
+        ty
     }
 
     /// Absorb one NDJSON line through the event fold — no `Value` tree
@@ -317,25 +333,43 @@ impl ProfileAcc {
     /// (mergeable, earliest line wins) rather than returned, so the
     /// partition fold keeps its infallible `absorb` shape.
     pub fn absorb_line(&mut self, line: u64, text: &str) {
-        let mut facts = Facts::new();
-        let mut parser = EventParser::with_options(text.as_bytes(), ParserOptions::default());
-        let folded = observe_events_root(&mut parser, &mut facts);
-        match folded.and_then(|ty| parser.finish().map(|()| ty)) {
-            Ok(ty) => {
-                self.schema.absorb_type(ty);
-                self.apply_facts(line, facts);
-            }
-            Err(e) => self.note_error(line, e),
+        if let Err(e) = self.try_absorb_line(line, text) {
+            self.note_error(line, e);
         }
+    }
+
+    /// [`absorb_line`](ProfileAcc::absorb_line) that hands a parse
+    /// failure back to the caller instead of recording it, and returns
+    /// the record's inferred type on success.
+    pub fn try_absorb_line(&mut self, line: u64, text: &str) -> typefuse_json::Result<Type> {
+        let mut facts = Facts::new();
+        let mut parser = EventParser::with_options(text.as_bytes(), self.options.clone());
+        let ty = observe_events_root(&mut parser, &mut facts)?;
+        parser.finish()?;
+        self.schema.absorb_type_ref(&ty);
+        self.apply_facts(line, facts);
+        Ok(ty)
     }
 
     /// Absorb one NDJSON line by materialising the `Value` tree first —
     /// the differential-testing twin of [`ProfileAcc::absorb_line`].
     pub fn absorb_line_as_value(&mut self, line: u64, text: &str) {
-        match typefuse_json::parse_value(text) {
-            Ok(value) => self.absorb_value_at(line, &value),
-            Err(e) => self.note_error(line, e),
+        if let Err(e) = self.try_absorb_line_as_value(line, text) {
+            self.note_error(line, e);
         }
+    }
+
+    /// [`absorb_line_as_value`](ProfileAcc::absorb_line_as_value) with
+    /// the failure handed back, like
+    /// [`try_absorb_line`](ProfileAcc::try_absorb_line).
+    pub fn try_absorb_line_as_value(
+        &mut self,
+        line: u64,
+        text: &str,
+    ) -> typefuse_json::Result<Type> {
+        let value = typefuse_json::Parser::with_options(text.as_bytes(), self.options.clone())
+            .parse_complete()?;
+        Ok(self.absorb_value_typed(line, &value))
     }
 
     /// Absorb an already inferred type: counts the record and fuses the
@@ -633,6 +667,7 @@ impl ProfileAcc {
             paths,
             children,
             first_error,
+            options: ParserOptions::default(),
         })
     }
 

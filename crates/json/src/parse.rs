@@ -17,7 +17,7 @@ use crate::value::{Map, Value};
 use std::borrow::Cow;
 
 /// Knobs for the parser.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParserOptions {
     /// Maximum nesting depth of arrays/objects. Default 512.
     pub max_depth: usize,

@@ -9,7 +9,7 @@
 //! cargo run --example log_exploration
 //! ```
 
-use typefuse::infer::CountingFuser;
+use typefuse::infer::ProfileAcc;
 use typefuse::prelude::*;
 
 fn main() {
@@ -18,18 +18,23 @@ fn main() {
 
     // One pass: fused schema + per-path presence statistics (the
     // statistical enrichment sketched in the paper's future work).
-    let mut explorer = CountingFuser::new();
-    for record in &feed {
-        explorer.absorb(record);
+    let mut explorer = ProfileAcc::new();
+    for (i, record) in feed.iter().enumerate() {
+        explorer.absorb_value_at(i as u64 + 1, record);
     }
     let summary = explorer.finish();
 
-    println!("=== fused schema ({} records) ===", summary.total);
+    println!("=== fused schema ({} records) ===", summary.records);
     println!("{}", typefuse::types::print::pretty(&summary.schema));
 
     // Property (iii): fields that can always be selected.
     println!("\n=== always-present paths (safe to SELECT) ===");
-    for path in summary.mandatory_paths().iter().take(15) {
+    let rows = summary.rows();
+    for (path, _) in rows
+        .iter()
+        .filter(|(_, p)| p.count == summary.records)
+        .take(15)
+    {
         println!("  {path}");
     }
 
@@ -38,17 +43,16 @@ fn main() {
     // are variants, without reading a million records.
     println!("\n=== partially-present paths ===");
     println!("{:<42} {:>8} {:>8}", "path", "count", "ratio");
-    for row in summary
-        .rows()
+    for (path, p) in rows
         .iter()
-        .filter(|r| r.count < summary.total)
+        .filter(|(_, p)| p.count < summary.records)
         .take(15)
     {
         println!(
             "{:<42} {:>8} {:>7.1}%",
-            row.path,
-            row.count,
-            row.ratio * 100.0
+            path,
+            p.count,
+            p.count as f64 / summary.records as f64 * 100.0
         );
     }
 

@@ -39,9 +39,10 @@ use typefuse_obs::Recorder;
 pub struct JobConfig {
     /// Worker threads; `None` uses every available core.
     pub workers: Option<usize>,
-    /// Dataset partitions; `None` derives 4 × workers.
+    /// Dataset partitions of in-memory sources; `None` derives 4 ×
+    /// workers. Text sources ignore it.
     pub partitions: Option<usize>,
-    /// Reduce topology.
+    /// Reduce topology of in-memory sources.
     pub reduce_plan: ReducePlan,
     /// Fusion configuration (array strategy).
     pub fuse_config: FuseConfig,

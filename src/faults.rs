@@ -21,6 +21,7 @@
 //!   written with its position and error to a sidecar NDJSON file for
 //!   later repair; [`read_quarantine`] replays the sidecar.
 
+use std::cmp::Ordering;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
@@ -175,11 +176,25 @@ impl ErrorReport {
         ErrorReport::default()
     }
 
-    /// Record one bad record.
+    /// Record one bad record. The report stays normalized without a
+    /// re-sort: one binary search finds where the record lands, so notes
+    /// arriving in input order (every fold's case) cost O(log n) each.
     pub fn note(&mut self, record: BadRecord) {
         self.skipped += 1;
-        self.records.push(record);
-        self.normalize();
+        // Past every kept record with an equal or smaller key, as a
+        // stable sort would place it.
+        let at = self
+            .records
+            .partition_point(|kept| order(kept, &record) != Ordering::Greater);
+        let duplicate = at > 0 && {
+            let prev = &self.records[at - 1];
+            order(prev, &record) == Ordering::Equal && same(prev, &record)
+        };
+        if duplicate || at >= MAX_KEPT {
+            return;
+        }
+        self.records.insert(at, record);
+        self.records.truncate(MAX_KEPT);
     }
 
     /// Merge another report into this one. Commutative and associative:
@@ -191,11 +206,8 @@ impl ErrorReport {
     }
 
     fn normalize(&mut self) {
-        self.records.sort_by(|a, b| {
-            (a.at, a.error.to_string(), &a.text).cmp(&(b.at, b.error.to_string(), &b.text))
-        });
-        self.records
-            .dedup_by(|a, b| a.at == b.at && a.error == b.error && a.text == b.text);
+        self.records.sort_by(order);
+        self.records.dedup_by(|a, b| same(a, b));
         self.records.truncate(MAX_KEPT);
     }
 
@@ -283,6 +295,19 @@ impl ErrorReport {
     pub fn is_empty(&self) -> bool {
         self.skipped == 0
     }
+}
+
+/// The report order: input position, then error text, then line text.
+/// The error is rendered only to break a tie on position, which only
+/// merging two reports of the same input produces.
+fn order(a: &BadRecord, b: &BadRecord) -> Ordering {
+    a.at.cmp(&b.at)
+        .then_with(|| a.error.to_string().cmp(&b.error.to_string()))
+        .then_with(|| a.text.cmp(&b.text))
+}
+
+fn same(a: &BadRecord, b: &BadRecord) -> bool {
+    a.at == b.at && a.error == b.error && a.text == b.text
 }
 
 /// Write a report's bad records as a quarantine sidecar: one NDJSON
@@ -466,6 +491,38 @@ mod tests {
         assert_eq!(back[1].2.as_deref(), Some("[1, 2,"));
         assert!(back[0].1.contains("invalid literal"), "{}", back[0].1);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn notes_past_max_kept_keep_the_earliest_positions() {
+        // Pairs arrive swapped (1, 0, 3, 2, ...) and every tenth record
+        // is noted twice, so both the insert and the dedup path run.
+        let total = MAX_KEPT as u64 + 2_000;
+        let error = parse_value("{x").unwrap_err();
+        let note = |r: &mut ErrorReport, at: u64| {
+            r.note(BadRecord {
+                at,
+                error: error.clone(),
+                text: None,
+            })
+        };
+        let mut report = ErrorReport::new();
+        let mut notes = 0u64;
+        for i in 0..total {
+            note(&mut report, i ^ 1);
+            notes += 1;
+            if i % 10 == 0 {
+                note(&mut report, i ^ 1);
+                notes += 1;
+            }
+        }
+        assert_eq!(report.skipped(), notes);
+        let kept: Vec<u64> = report.records().iter().map(|r| r.at).collect();
+        assert_eq!(kept, (0..MAX_KEPT as u64).collect::<Vec<_>>());
+        // A merge normalizes to the same kept set.
+        let mut merged = ErrorReport::new();
+        merged.merge(&report);
+        assert_eq!(merged, report);
     }
 
     #[test]

@@ -40,8 +40,8 @@
 pub mod config;
 pub mod error;
 pub mod faults;
+mod fold;
 pub mod pipeline;
-pub mod splits;
 
 pub use config::JobConfig;
 pub use error::{Error, IoSite};

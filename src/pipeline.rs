@@ -22,23 +22,31 @@
 //! stays available as [`MapPath::Values`] for differential testing —
 //! both produce byte-identical schemas (property-tested).
 //!
+//! Every text source, plain or profiled, takes the one bounded-memory
+//! fold (`src/fold.rs`): a reader cuts the stream into slabs, worker
+//! threads fold each record into their accumulators, and the
+//! accumulators merge once. In-memory sources ([`Source::Values`],
+//! [`Source::Dataset`]) keep the partitioned Map and Reduce of the
+//! engine.
+//!
 //! The legacy entry points ([`SchemaJob::run_values`],
 //! [`SchemaJob::run_dataset`], [`SchemaJob::run_ndjson`]) remain as thin
 //! wrappers over `run`.
 
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::io::BufRead;
 use std::time::{Duration, Instant};
 
-use crate::error::{Error, IoSite};
-use crate::faults::{BadRecord, ErrorPolicy, ErrorReport};
+use crate::error::Error;
+use crate::faults::{ErrorPolicy, ErrorReport};
+use crate::fold::{self, Acc, Tally, Target};
 use typefuse_engine::{Dataset, ReducePlan, Runtime, StageMetrics, WorkerPanic};
 use typefuse_infer::{
-    infer_type_recorded, streaming, DedupFuser, FuseConfig, ProfileAcc, ProfileReport, Profiling,
-    RecordedFuser, ShapeCache,
+    infer_type_recorded, DedupFuser, FuseConfig, ProfileAcc, ProfileReport, Profiling,
+    RecordedFuser,
 };
-use typefuse_json::ndjson::read_line_bounded;
-use typefuse_json::{ErrorKind, Parser, ParserOptions, Position, RetryPolicy, Value};
+use typefuse_json::{ParserOptions, RetryPolicy, Value};
 use typefuse_obs::{Recorder, RunReport};
 use typefuse_types::Type;
 
@@ -118,22 +126,53 @@ pub enum DedupMode {
     Off,
 }
 
-/// The `--dedup auto` heuristic: inspect up to the first 512 inferred
-/// types and pick the dedup route when at least 64 were seen and at most
-/// half of them are distinct. Tiny inputs and structurally unique
-/// streams (every record its own shape, e.g. Wikidata's ids-as-keys
-/// records) stay on the plain route, where interning would only add
-/// overhead.
+/// The `--dedup auto` heuristic over a slice of types: feed up to the
+/// first 512 to a [`DedupSampler`] and take its verdict.
 pub fn dedup_auto_sample<'a>(types: impl IntoIterator<Item = &'a Type>) -> bool {
+    let mut sampler = DedupSampler::default();
+    for ty in types {
+        if sampler.observe(ty).is_some() {
+            break;
+        }
+    }
+    sampler.verdict()
+}
+
+/// The `--dedup auto` rule, one type at a time: sample the first 512
+/// inferred types and pick the dedup route when at least 64 were seen
+/// and at most half of them are distinct. Tiny inputs and structurally
+/// unique streams (every record its own shape, e.g. Wikidata's
+/// ids-as-keys records) stay on the plain route, where interning would
+/// only add overhead.
+///
+/// Only a hash of each sampled type is kept, so sampling wide unique
+/// records costs no memory beyond the sample's hash set.
+#[derive(Debug, Default)]
+pub struct DedupSampler {
+    seen: usize,
+    distinct: HashSet<u64>,
+}
+
+impl DedupSampler {
     const SAMPLE: usize = 512;
     const MIN_SAMPLE: usize = 64;
-    let mut distinct: HashSet<&Type> = HashSet::new();
-    let mut seen = 0usize;
-    for ty in types.into_iter().take(SAMPLE) {
-        seen += 1;
-        distinct.insert(ty);
+
+    /// Observe one more type. Returns the verdict once the sample is
+    /// full (and on every call after), `None` before.
+    pub fn observe(&mut self, ty: &Type) -> Option<bool> {
+        if self.seen < Self::SAMPLE {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            ty.hash(&mut hasher);
+            self.distinct.insert(hasher.finish());
+            self.seen += 1;
+        }
+        (self.seen == Self::SAMPLE).then(|| self.verdict())
     }
-    seen >= MIN_SAMPLE && distinct.len() * 2 <= seen
+
+    /// Whether the types observed so far call for dedup.
+    pub fn verdict(&self) -> bool {
+        self.seen >= Self::MIN_SAMPLE && self.distinct.len() * 2 <= self.seen
+    }
 }
 
 /// Configuration of a schema-inference run.
@@ -141,9 +180,10 @@ pub fn dedup_auto_sample<'a>(types: impl IntoIterator<Item = &'a Type>) -> bool 
 pub struct SchemaJob {
     /// Worker threads (default: all available).
     pub runtime: Runtime,
-    /// Number of dataset partitions (default: 4 × workers).
+    /// Number of dataset partitions for in-memory sources (default:
+    /// 4 × workers). Text sources are cut into slabs instead.
     pub partitions: usize,
-    /// How the per-partition schemas are combined.
+    /// How the per-partition schemas of in-memory sources are combined.
     pub reduce_plan: ReducePlan,
     /// Fusion configuration (array strategy).
     pub fuse_config: FuseConfig,
@@ -329,7 +369,35 @@ impl SchemaJob {
                 self.run_value_dataset(&Dataset::from_vec(values, self.partitions))
             }
             Source::Dataset(dataset) => self.run_value_dataset(dataset),
-            Source::Ndjson(reader) => self.run_lines(reader),
+            Source::Ndjson(mut reader) => {
+                let wall_start = Instant::now();
+                let rec = &self.recorder;
+                let folded = fold::fold(self, &mut reader, Target::Schema)?;
+                self.error_policy.enforce(&folded.errors, rec)?;
+                let schema = match folded.acc {
+                    Acc::Plain(schema) => schema,
+                    Acc::Dedup(acc) => {
+                        rec.add("infer.dedup", 1);
+                        acc.flush_counters(rec);
+                        acc.schema()
+                    }
+                    Acc::Profile(_) => unreachable!("a schema run folds no profile"),
+                };
+                rec.add("records", folded.records);
+                Ok(SchemaResult {
+                    fused_size: schema.size(),
+                    schema,
+                    records: folded.records,
+                    partitions: folded.slabs,
+                    type_stats: folded.type_stats,
+                    errors: folded.errors,
+                    map_time: folded.fold_metrics.wall,
+                    reduce_time: folded.merge_metrics.wall,
+                    wall: wall_start.elapsed(),
+                    map_metrics: folded.fold_metrics,
+                    reduce_metrics: folded.merge_metrics,
+                })
+            }
         }
     }
 
@@ -365,9 +433,10 @@ impl SchemaJob {
     /// and Map route (`job.map_path` picks the event fold or the tree
     /// walk for text sources; both observe identically).
     ///
-    /// Parse failures are carried *through* the reduce as mergeable
-    /// accumulator state, so the reported error is the earliest bad
-    /// line in input order, exactly like [`SchemaJob::run`].
+    /// Text sources take the same fold as [`SchemaJob::run`], so the
+    /// error policy, parser options and line-size guard apply alike:
+    /// fail fast at the earliest bad line, or skip and quarantine into
+    /// [`ProfiledResult::errors`].
     pub fn run_profiled(&self, source: Source<'_>) -> Result<ProfiledResult, Error> {
         let wall_start = Instant::now();
         let rec = &self.recorder;
@@ -392,13 +461,7 @@ impl SchemaJob {
                         |_, acc, (line, v): &(u64, Value)| acc.absorb_value_at(*line, v),
                     )
                 };
-                self.finish_profiled(
-                    acc,
-                    dataset.num_partitions(),
-                    fold_metrics,
-                    wall_start,
-                    false,
-                )
+                self.finish_profiled(acc, dataset.num_partitions(), fold_metrics, wall_start)
             }
             Source::Dataset(dataset) => {
                 // Keep the caller's partitioning; number records by their
@@ -427,59 +490,41 @@ impl SchemaJob {
                         |_, acc, (line, v): &(u64, &Value)| acc.absorb_value_at(*line, v),
                     )
                 };
-                self.finish_profiled(
-                    acc,
-                    numbered.num_partitions(),
-                    fold_metrics,
-                    wall_start,
-                    false,
-                )
+                self.finish_profiled(acc, numbered.num_partitions(), fold_metrics, wall_start)
             }
-            Source::Ndjson(reader) => {
-                let lines: Vec<(u32, String)> = {
-                    let _span = rec.span("pipeline.read");
-                    read_lines(reader, rec)?
-                };
-                let dataset = Dataset::from_vec(lines, self.partitions);
-                let map_path = self.map_path;
-                let (acc, fold_metrics) = {
+            Source::Ndjson(mut reader) => {
+                let folded = {
                     let _span = rec.span("pipeline.profile");
-                    dataset.reduce_items(
-                        &self.runtime,
-                        self.reduce_plan,
-                        &fuser,
-                        rec,
-                        move |_, acc, (line, text): &(u32, String)| match map_path {
-                            // Profiling must observe every record's
-                            // values, so the shape route cannot shortcut
-                            // it: fold events like the default route.
-                            MapPath::Events | MapPath::Shape => {
-                                acc.absorb_line(u64::from(*line), text)
-                            }
-                            MapPath::Values => acc.absorb_line_as_value(u64::from(*line), text),
-                        },
-                    )
+                    fold::fold(self, &mut reader, Target::Profile)?
                 };
-                self.finish_profiled(
-                    acc,
-                    dataset.num_partitions(),
-                    fold_metrics,
-                    wall_start,
-                    true,
-                )
+                self.error_policy.enforce(&folded.errors, rec)?;
+                let Acc::Profile(acc) = folded.acc else {
+                    unreachable!("a profiled run folds a profile")
+                };
+                let profile = acc.finish();
+                let records = profile.records;
+                rec.add("records", records);
+                Ok(ProfiledResult {
+                    profile,
+                    records,
+                    partitions: folded.slabs,
+                    errors: folded.errors,
+                    type_stats: folded.type_stats,
+                    wall: wall_start.elapsed(),
+                    fold_metrics: folded.fold_metrics,
+                })
             }
         }
     }
 
-    /// Shared tail of the profiled routes: surface the earliest parse
-    /// error (re-anchored at its input line) or finish the profile.
+    /// Shared tail of the in-memory profiled routes: surface the
+    /// earliest error or finish the profile.
     fn finish_profiled(
         &self,
         acc: Option<ProfileAcc>,
         partitions: usize,
         fold_metrics: StageMetrics,
         wall_start: Instant,
-        count_json_records: bool,
     ) -> Result<ProfiledResult, Error> {
         let rec = &self.recorder;
         let acc = acc.unwrap_or_else(|| ProfileAcc::with_config(self.fuse_config));
@@ -494,14 +539,13 @@ impl SchemaJob {
         }
         let profile = acc.finish();
         let records = profile.records;
-        if count_json_records {
-            rec.add("json.records", records);
-        }
         rec.add("records", records);
         Ok(ProfiledResult {
             profile,
             records,
             partitions,
+            errors: ErrorReport::new(),
+            type_stats: TypeStats::default(),
             wall: wall_start.elapsed(),
             fold_metrics,
         })
@@ -526,195 +570,6 @@ impl SchemaJob {
             map_start.elapsed(),
             map_metrics,
         )
-    }
-
-    /// The unified text route for every Map path: read lines (with
-    /// retry and the line-size guard), parse/infer each in parallel —
-    /// [`MapPath::Events`] folds the token stream straight into a type,
-    /// [`MapPath::Values`] materialises the `Value` tree first,
-    /// [`MapPath::Shape`] serves repeated raw shapes from a
-    /// per-partition signature cache (flushing `infer.shape_hits` /
-    /// `infer.shape_misses` as each partition completes) and replays the
-    /// event fold on misses — then
-    /// apply the error policy to whatever failed. Counters:
-    /// `json.bytes` / `json.lines` at read time, `json.records` /
-    /// `json.parse_errors` at parse time (the event fold additionally
-    /// counts `infer.events` and the `infer.frames` histogram), and
-    /// `ingest.skipped` / `ingest.quarantined` / `ingest.retries` /
-    /// `ingest.worker_panics` for the fault-tolerance layer.
-    fn run_lines(&self, reader: Box<dyn BufRead + '_>) -> Result<SchemaResult, Error> {
-        let wall_start = Instant::now();
-        let rec = &self.recorder;
-        let lines: Vec<RawRecord> = {
-            let _span = rec.span("pipeline.read");
-            self.read_raw_lines(reader)?
-        };
-        let dataset = Dataset::from_vec(lines, self.partitions);
-
-        let map_start = Instant::now();
-        let map_path = self.map_path;
-        let chaos = self.chaos_panic_at;
-        let options = &self.parser_options;
-        // Shared per-record tail for every route: chaos injection, the
-        // reader's pre-errors, record/error counters and error
-        // re-anchoring at the record's input line (the column within the
-        // line is preserved).
-        let infer_record =
-            |record: &RawRecord,
-             infer: &mut dyn FnMut(&RawRecord) -> Result<Type, typefuse_json::Error>|
-             -> Result<Type, typefuse_json::Error> {
-                if chaos == Some(record.line) {
-                    panic!("injected chaos panic at line {}", record.line);
-                }
-                if let Some(e) = &record.pre_error {
-                    rec.add("json.parse_errors", 1);
-                    return Err(e.clone());
-                }
-                match infer(record) {
-                    Ok(ty) => {
-                        rec.add("json.records", 1);
-                        Ok(ty)
-                    }
-                    Err(e) => {
-                        rec.add("json.parse_errors", 1);
-                        let mut pos = e.span().start;
-                        pos.line = record.line;
-                        Err(typefuse_json::Error::at(e.kind().clone(), pos))
-                    }
-                }
-            };
-        let (typed, map_metrics) = {
-            let _span = rec.span("pipeline.map");
-            match map_path {
-                // The shape route holds a per-partition signature cache,
-                // so it maps whole partitions; hit/miss totals flush to
-                // the recorder as the partition finishes.
-                MapPath::Shape => dataset.try_map_partitions_metered(&self.runtime, |_, part| {
-                    let mut cache = ShapeCache::new();
-                    let out = part
-                        .iter()
-                        .map(|record| {
-                            infer_record(record, &mut |r: &RawRecord| {
-                                cache.infer_line(r.text.as_bytes(), options, rec)
-                            })
-                        })
-                        .collect();
-                    cache.flush_counters(rec);
-                    out
-                }),
-                MapPath::Events => dataset.try_map_metered(&self.runtime, |record: &RawRecord| {
-                    infer_record(record, &mut |r: &RawRecord| {
-                        streaming::infer_with_options_recorded(
-                            r.text.as_bytes(),
-                            options.clone(),
-                            rec,
-                        )
-                    })
-                }),
-                MapPath::Values => dataset.try_map_metered(&self.runtime, |record: &RawRecord| {
-                    infer_record(record, &mut |r: &RawRecord| {
-                        Parser::with_options(r.text.as_bytes(), options.clone())
-                            .parse_complete()
-                            .map(|v| infer_type_recorded(&v, rec))
-                    })
-                }),
-            }
-        };
-        let typed = self.surface_worker(typed)?;
-        let map_time = map_start.elapsed();
-
-        // Partition the outcomes into clean types and the error report
-        // (one commutative monoid, like the schema itself), then let the
-        // policy decide.
-        let keeps_text = self.error_policy.keeps_text();
-        let mut types: Vec<Type> = Vec::new();
-        let mut report = ErrorReport::new();
-        for (outcome, record) in typed.collect().into_iter().zip(dataset.iter()) {
-            match outcome {
-                Ok(ty) => types.push(ty),
-                Err(e) => report.note(BadRecord {
-                    at: u64::from(record.line),
-                    error: e,
-                    text: keeps_text.then(|| record.text.clone()),
-                }),
-            }
-        }
-        self.apply_policy(&report)?;
-
-        let records = types.len() as u64;
-        let types = Dataset::from_vec(types, self.partitions);
-        self.finish(types, records, report, wall_start, map_time, map_metrics)
-    }
-
-    /// Read the raw lines of a text source, retrying transient I/O
-    /// errors and enforcing the line-size guard. Oversized and
-    /// non-UTF-8 lines come back as records with a `pre_error` (so the
-    /// error policy sees them in input order); an unrecoverable read
-    /// error aborts with the line it happened at.
-    fn read_raw_lines(&self, mut reader: Box<dyn BufRead + '_>) -> Result<Vec<RawRecord>, Error> {
-        let rec = &self.recorder;
-        let mut out = Vec::new();
-        let mut buf: Vec<u8> = Vec::new();
-        let mut line_no: u32 = 0;
-        loop {
-            buf.clear();
-            let raw =
-                read_line_bounded(&mut reader, &mut buf, self.max_line_bytes, self.retry, rec)
-                    .map_err(|e| Error::io_at(e, IoSite::line(line_no + 1)))?;
-            if raw.consumed == 0 {
-                return Ok(out);
-            }
-            rec.add("json.bytes", raw.consumed as u64);
-            line_no += 1;
-            rec.add("json.lines", 1);
-            let pre_error = |kind: ErrorKind| {
-                typefuse_json::Error::at(
-                    kind,
-                    Position {
-                        offset: 0,
-                        line: line_no,
-                        column: 1,
-                    },
-                )
-            };
-            if raw.truncated {
-                let cap = self.max_line_bytes.unwrap_or(usize::MAX);
-                out.push(RawRecord {
-                    line: line_no,
-                    text: String::from_utf8_lossy(&buf).into_owned(),
-                    pre_error: Some(pre_error(ErrorKind::RecordTooLarge(cap))),
-                });
-                continue;
-            }
-            match std::str::from_utf8(&buf) {
-                Ok(text) => {
-                    let trimmed = text.trim();
-                    if !trimmed.is_empty() {
-                        out.push(RawRecord {
-                            line: line_no,
-                            text: trimmed.to_string(),
-                            pre_error: None,
-                        });
-                    }
-                }
-                // A non-UTF-8 line is a malformed *record*, not a dead
-                // stream: report it per policy and keep reading.
-                Err(_) => out.push(RawRecord {
-                    line: line_no,
-                    text: String::from_utf8_lossy(&buf).into_owned(),
-                    pre_error: Some(pre_error(ErrorKind::InvalidUtf8)),
-                }),
-            }
-        }
-    }
-
-    /// Decide what the collected bad records mean under this job's
-    /// [`ErrorPolicy`]: fail fast on the earliest one, or skip (and
-    /// quarantine) them subject to the error budget. The budget is
-    /// checked on the *merged* report, so the verdict is independent of
-    /// worker count and partitioning.
-    fn apply_policy(&self, report: &ErrorReport) -> Result<(), Error> {
-        self.error_policy.enforce(report, &self.recorder)
     }
 
     /// Count and convert an isolated worker panic.
@@ -743,12 +598,11 @@ impl SchemaJob {
         // ---- Type statistics (the Tables 2–5 columns). ----------------
         let type_stats = {
             let _span = rec.span("pipeline.stats");
-            let stats_source: Vec<&Type> = if self.collect_type_stats {
-                types.iter().collect()
+            if self.collect_type_stats {
+                TypeStats::measure(types.iter())
             } else {
-                Vec::new()
-            };
-            TypeStats::measure(stats_source)
+                TypeStats::default()
+            }
         };
 
         // ---- Reduce phase: fuse (Figure 6). ----------------------------
@@ -792,45 +646,6 @@ impl SchemaJob {
     }
 }
 
-/// One raw input line, pre-checked at read time: `pre_error` carries a
-/// read-level defect (oversized, non-UTF-8) so the Map phase and the
-/// error policy see every bad record in input order.
-#[derive(Debug, Clone)]
-struct RawRecord {
-    /// 1-based input line number.
-    line: u32,
-    /// Trimmed line content (lossy UTF-8 and capped when `pre_error`).
-    text: String,
-    /// A defect detected while reading, if any.
-    pre_error: Option<typefuse_json::Error>,
-}
-
-/// Read an NDJSON stream into `(line_no, trimmed_line)` pairs, skipping
-/// blanks, with the same byte/line accounting as
-/// [`NdjsonReader`](typefuse_json::NdjsonReader).
-fn read_lines(
-    mut reader: Box<dyn BufRead + '_>,
-    rec: &Recorder,
-) -> Result<Vec<(u32, String)>, Error> {
-    let mut lines = Vec::new();
-    let mut buf = String::new();
-    let mut line_no: u32 = 0;
-    loop {
-        buf.clear();
-        let n = reader.read_line(&mut buf)?;
-        if n == 0 {
-            return Ok(lines);
-        }
-        rec.add("json.bytes", n as u64);
-        line_no += 1;
-        rec.add("json.lines", 1);
-        let trimmed = buf.trim();
-        if !trimmed.is_empty() {
-            lines.push((line_no, trimmed.to_string()));
-        }
-    }
-}
-
 /// Distinct-type statistics — the "Inferred types size" columns of
 /// Tables 2–5.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -846,27 +661,12 @@ pub struct TypeStats {
 }
 
 impl TypeStats {
-    fn measure<'a>(types: Vec<&'a Type>) -> TypeStats {
-        if types.is_empty() {
-            return TypeStats::default();
+    fn measure<'a>(types: impl IntoIterator<Item = &'a Type>) -> TypeStats {
+        let mut tally = Tally::default();
+        for ty in types {
+            tally.observe(ty);
         }
-        let mut distinct: HashSet<&'a Type> = HashSet::with_capacity(types.len() / 4);
-        let mut min_size = usize::MAX;
-        let mut max_size = 0usize;
-        let mut sum = 0u64;
-        for t in &types {
-            let size = t.size();
-            min_size = min_size.min(size);
-            max_size = max_size.max(size);
-            sum += size as u64;
-            distinct.insert(t);
-        }
-        TypeStats {
-            distinct: distinct.len(),
-            min_size,
-            max_size,
-            avg_size: sum as f64 / types.len() as f64,
-        }
+        tally.finish()
     }
 }
 
@@ -880,7 +680,7 @@ pub struct SchemaResult {
     pub fused_size: usize,
     /// Number of input records.
     pub records: u64,
-    /// Partitions processed.
+    /// Partitions processed (slabs, for text sources).
     pub partitions: usize,
     /// Distinct / min / max / avg inferred-type statistics.
     pub type_stats: TypeStats,
@@ -957,11 +757,17 @@ pub struct ProfiledResult {
     pub profile: ProfileReport,
     /// Number of input records.
     pub records: u64,
-    /// Partitions processed.
+    /// Partitions processed (slabs, for text sources).
     pub partitions: usize,
+    /// Records skipped or quarantined under the job's [`ErrorPolicy`].
+    pub errors: ErrorReport,
+    /// Distinct / min / max / avg inferred-type statistics, collected
+    /// by text sources when the job asks for them.
+    pub type_stats: TypeStats,
     /// Total wall time.
     pub wall: Duration,
-    /// Per-partition metrics of the profiled fold.
+    /// Per-partition metrics of the profiled fold (per worker, for text
+    /// sources).
     pub fold_metrics: StageMetrics,
 }
 

@@ -1,13 +1,11 @@
 //! Route-differential test for the shape-dedup reduce: over every
 //! synthetic profile, the dedup route must be byte-identical to the
-//! plain reduce on both Map paths, and the dedup counting strategy must
-//! reproduce the plain one's totals and per-path rows exactly.
+//! plain reduce on both Map paths, and the profiled fold must agree
+//! with it on schema and record totals.
 
 use typefuse::pipeline::{DedupMode, MapPath, Source};
 use typefuse::JobConfig;
 use typefuse_datagen::{DatasetProfile, Profile};
-use typefuse_engine::Dataset;
-use typefuse_infer::{Counting, CountingFuser, DedupCounting, FuseConfig, Fuser};
 use typefuse_json::Value;
 use typefuse_obs::Recorder;
 
@@ -53,27 +51,35 @@ fn dedup_event_and_value_routes_are_byte_identical() {
 }
 
 #[test]
-fn dedup_counting_totals_match_plain_counting() {
-    let recorder = Recorder::disabled();
-    let runtime = typefuse_engine::Runtime::default();
-    let plan = typefuse_engine::ReducePlan::default();
+fn profiled_counts_match_the_dedup_route() {
+    // The profile's per-path counts replaced the dedup counting
+    // strategy: the profiled fold must agree with the dedup route on
+    // schema and record total, and its counts must not depend on
+    // workers.
     for profile in Profile::ALL {
-        let (values, _) = dataset(profile);
-        let data = Dataset::from_vec(values, 4);
-
-        let (acc, _) = data.fuse_values(&runtime, plan, &Counting, &recorder);
-        let plain = acc.unwrap_or_else(CountingFuser::new).finish();
-
-        let fuser = DedupCounting::new(FuseConfig::default());
-        let (acc, _) = data.fuse_values(&runtime, plan, &fuser, &recorder);
-        let dedup = acc.unwrap_or_else(|| fuser.empty()).finish();
-
-        assert_eq!(dedup.total, plain.total, "{profile}");
-        assert_eq!(dedup.schema, plain.schema, "{profile}");
-        assert_eq!(
-            dedup.path_counts, plain.path_counts,
-            "{profile}: per-path presence counts diverged"
-        );
+        let (_, text) = dataset(profile);
+        let dedup = JobConfig::new()
+            .dedup(DedupMode::On)
+            .build()
+            .run(Source::ndjson(text.as_bytes()))
+            .unwrap();
+        let mut reports = Vec::new();
+        for workers in [1, 2, 4] {
+            let profiled = JobConfig::new()
+                .workers(workers)
+                .build()
+                .run_profiled(Source::ndjson(text.as_bytes()))
+                .unwrap();
+            assert_eq!(
+                profiled.profile.schema.to_string(),
+                dedup.schema.to_string(),
+                "{profile}"
+            );
+            assert_eq!(profiled.records, dedup.records, "{profile}");
+            assert_eq!(profiled.profile.get("$").unwrap().count, dedup.records);
+            reports.push(profiled.profile.to_json());
+        }
+        assert!(reports.windows(2).all(|w| w[0] == w[1]), "{profile}");
     }
 }
 
@@ -102,4 +108,50 @@ fn dedup_route_surfaces_its_counters() {
         report.counters["fuse.calls"],
         report.counters["fuse.cache_misses"]
     );
+}
+
+#[test]
+fn file_sources_match_byte_sources_for_every_dedup_mode() {
+    // A 1000-record file spans several slabs of the fold on every
+    // profile but NYTimes, so slab boundaries fall inside this matrix.
+    use typefuse_infer::{ArrayFusion, FuseConfig};
+    let dir = std::env::temp_dir().join("typefuse-dedup-differential");
+    std::fs::create_dir_all(&dir).unwrap();
+    for profile in Profile::ALL {
+        let (_, text) = dataset(profile);
+        let path = dir.join(format!("{profile}-{}.ndjson", std::process::id()));
+        std::fs::write(&path, &text).unwrap();
+        for positional in [false, true] {
+            let config = || {
+                let mut config = JobConfig::new();
+                if positional {
+                    config = config.fuse_config(FuseConfig {
+                        array_fusion: ArrayFusion::PositionalWhenAligned,
+                    });
+                }
+                config
+            };
+            let baseline = config()
+                .dedup(DedupMode::Off)
+                .workers(1)
+                .build()
+                .run(Source::ndjson(text.as_bytes()))
+                .unwrap();
+            for dedup in [DedupMode::On, DedupMode::Auto, DedupMode::Off] {
+                for workers in [1, 2, 4] {
+                    let file = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
+                    let run = config()
+                        .dedup(dedup)
+                        .workers(workers)
+                        .build()
+                        .run(Source::ndjson(file))
+                        .unwrap();
+                    let tag = format!("{profile} positional={positional} {dedup:?} {workers}w");
+                    assert_eq!(run.schema.to_string(), baseline.schema.to_string(), "{tag}");
+                    assert_eq!(run.records, baseline.records, "{tag}");
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -380,6 +380,110 @@ fn io_site_formats_all_coordinates() {
     assert!(msg.contains("byte 123") && msg.contains("split 4"), "{msg}");
 }
 
+/// A corpus with every kind of bad record the ingest guards produce —
+/// malformed (every 9th line), deeper than 3 levels (every 11th) and
+/// longer than 120 bytes (every 13th) — plus the same corpus with the
+/// bad lines blanked, which keeps every good record on its line.
+fn guarded_corpus() -> (String, String, u64) {
+    let mut dirty = String::new();
+    let mut blanked = String::new();
+    let mut bad = 0;
+    for i in 1..=150u64 {
+        let line = if i % 9 == 0 {
+            "{\"id\": nope".to_string()
+        } else if i % 11 == 0 {
+            format!("{{\"id\":{i},\"deep\":{{\"a\":{{\"b\":{{\"c\":1}}}}}}}}")
+        } else if i % 13 == 0 {
+            format!("{{\"id\":{i},\"pad\":\"{}\"}}", "x".repeat(150))
+        } else {
+            format!(
+                "{{\"id\":{i},\"tags\":[{}],\"m\":{{\"k\":{}}}}}",
+                i % 4,
+                if i % 3 == 0 { "null" } else { "\"v\"" }
+            )
+        };
+        let is_bad = i % 9 == 0 || i % 11 == 0 || i % 13 == 0;
+        dirty.push_str(&line);
+        dirty.push('\n');
+        if is_bad {
+            bad += 1;
+        } else {
+            blanked.push_str(&line);
+        }
+        blanked.push('\n');
+    }
+    (dirty, blanked, bad)
+}
+
+#[test]
+fn profiled_runs_honour_every_policy_and_guard() {
+    // The combinations that used to be usage errors: profiled runs
+    // under skip/quarantine with the depth and line-size guards. The
+    // profile of the dirty corpus must equal the blanked corpus's, and
+    // reports must not depend on workers.
+    let (dirty, blanked, bad) = guarded_corpus();
+    let guarded = |workers: usize, map_path: MapPath| {
+        JobConfig::new()
+            .workers(workers)
+            .map_path(map_path)
+            .max_line_bytes(120)
+            .parser_options(typefuse_json::ParserOptions {
+                max_depth: 3,
+                ..Default::default()
+            })
+    };
+    let expect = guarded(1, MapPath::Events)
+        .build()
+        .run_profiled(Source::ndjson(blanked.as_bytes()))
+        .unwrap();
+    let dir = std::env::temp_dir().join("typefuse-fault-tolerance");
+    std::fs::create_dir_all(&dir).unwrap();
+    let sink = dir.join(format!("profiled-{}.ndjson", std::process::id()));
+    let mut reports = Vec::new();
+    let mut sidecars = Vec::new();
+    for workers in [1, 2, 4] {
+        for map_path in [MapPath::Events, MapPath::Values, MapPath::Shape] {
+            for policy in [ErrorPolicy::skip(), ErrorPolicy::quarantine(&sink)] {
+                let label = format!("{workers}w {map_path:?} {policy:?}");
+                let job = guarded(workers, map_path).on_error(policy.clone()).build();
+                let got = job
+                    .run_profiled(Source::ndjson(dirty.as_bytes()))
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(got.profile.to_json(), expect.profile.to_json(), "{label}");
+                assert_eq!(got.errors.skipped(), bad, "{label}");
+                let plain = job.run(Source::ndjson(dirty.as_bytes())).unwrap();
+                assert_eq!(plain.schema, got.profile.schema, "{label}");
+                assert_eq!(plain.errors, got.errors, "{label}");
+                reports.push(((policy.keeps_text(), map_path), got.errors));
+                if policy.keeps_text() {
+                    sidecars.push((map_path, std::fs::read(&sink).unwrap()));
+                }
+            }
+        }
+    }
+    std::fs::remove_file(&sink).ok();
+    // The tree parser places a recursion-limit error one column later
+    // than the event parser, so reports and sidecars are compared per
+    // map path.
+    for (key, report) in &reports {
+        let first = &reports.iter().find(|(k, _)| k == key).unwrap().1;
+        assert_eq!(report, first, "reports differ across workers: {key:?}");
+    }
+    for (key, sidecar) in &sidecars {
+        let first = &sidecars.iter().find(|(k, _)| k == key).unwrap().1;
+        assert_eq!(sidecar, first, "sidecars differ across workers: {key:?}");
+    }
+
+    // Fail-fast stops at the earliest bad line, profiled or not.
+    let job = guarded(4, MapPath::Events).build();
+    let profiled = job
+        .run_profiled(Source::ndjson(dirty.as_bytes()))
+        .unwrap_err();
+    let plain = job.run(Source::ndjson(dirty.as_bytes())).unwrap_err();
+    assert_eq!(profiled.span().unwrap().start.line, 9);
+    assert_eq!(profiled.to_string(), plain.to_string());
+}
+
 // ---- Property tests ---------------------------------------------------
 
 fn bad_record(at: u64, tag: u8) -> BadRecord {

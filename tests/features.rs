@@ -4,7 +4,7 @@
 //! profiles.
 
 use typefuse::infer::streaming::infer_type_from_str;
-use typefuse::infer::{project, CountingFuser};
+use typefuse::infer::{project, ProfileAcc};
 use typefuse::prelude::*;
 use typefuse::types::diff::{diff, SchemaChange};
 use typefuse::types::paths::{covers_value_paths, type_paths, value_paths};
@@ -125,22 +125,27 @@ fn streaming_inference_matches_tree_on_profiles() {
 }
 
 #[test]
-fn counting_fuser_exposes_the_twitter_split() {
+fn profile_counts_expose_the_twitter_split() {
     let values: Vec<Value> = Profile::Twitter.generate(SEED, 2000).collect();
-    let mut cf = CountingFuser::new();
-    values.iter().for_each(|v| cf.absorb(v));
-    let cs = cf.finish();
+    let mut acc = ProfileAcc::new();
+    for (i, v) in values.iter().enumerate() {
+        acc.absorb_value_at(i as u64 + 1, v);
+    }
+    let profile = acc.finish();
 
-    let delete_count = cs.path_counts.get("$.delete").copied().unwrap_or(0);
-    let text_count = cs.path_counts.get("$.text").copied().unwrap_or(0);
+    let count = |path: &str| profile.get(path).map_or(0, |p| p.count);
+    let (delete_count, text_count) = (count("$.delete"), count("$.text"));
     assert!(delete_count > 0, "deletes present");
     assert!(
         delete_count * 10 < text_count,
         "deletes ({delete_count}) are a small fraction of tweets ({text_count})"
     );
-    // A tweet path and a delete path never co-occur, so no path spans all
-    // records — mandatory_paths must be empty for this mixed feed.
-    assert!(cs.mandatory_paths().is_empty());
+    // A tweet path and a delete path never co-occur, so no field path
+    // spans all records.
+    assert!(profile
+        .rows()
+        .iter()
+        .all(|(path, p)| *path == "$" || p.count < profile.records));
 }
 
 #[test]

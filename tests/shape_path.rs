@@ -137,6 +137,58 @@ fn shape_route_reports_the_same_errors_under_every_policy() {
 }
 
 #[test]
+fn shape_route_matches_events_from_a_file_under_the_guards() {
+    // Corrupted input plus a too-deep and an oversized record, read from
+    // a file across several slabs: the shape route reports the same
+    // schema and bad records as the events route for any worker count.
+    let dir = std::env::temp_dir().join("typefuse-shape-path");
+    std::fs::create_dir_all(&dir).unwrap();
+    for profile in [Profile::GitHub, Profile::Twitter] {
+        let mut text = corrupt(&dataset(profile));
+        text.push_str(&"[".repeat(40));
+        text.push_str(&"]".repeat(40));
+        text.push('\n');
+        text.push_str(&format!("{{\"pad\":\"{}\"}}\n", "x".repeat(20_000)));
+        let path = dir.join(format!("{profile}-guards-{}.ndjson", std::process::id()));
+        std::fs::write(&path, &text).unwrap();
+        let run = |map_path: MapPath, workers: usize| {
+            let file = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
+            JobConfig::new()
+                .map_path(map_path)
+                .workers(workers)
+                .on_error(ErrorPolicy::skip())
+                .max_line_bytes(16_384)
+                .parser_options(ParserOptions {
+                    max_depth: 32,
+                    ..ParserOptions::default()
+                })
+                .build()
+                .run(Source::ndjson(file))
+                .unwrap()
+        };
+        let baseline = run(MapPath::Events, 1);
+        for workers in [1, 2, 4] {
+            let shape = run(MapPath::Shape, workers);
+            let tag = format!("{profile} {workers}w");
+            assert_eq!(shape.schema, baseline.schema, "{tag}");
+            assert_eq!(shape.records, baseline.records, "{tag}");
+            assert_eq!(shape.errors, baseline.errors, "{tag}");
+        }
+        let kinds: Vec<String> = baseline
+            .errors
+            .records()
+            .iter()
+            .rev()
+            .take(2)
+            .map(|b| b.error.to_string())
+            .collect();
+        assert!(kinds[0].contains("line-size guard"), "{kinds:?}");
+        assert!(kinds[1].contains("recursion limit"), "{kinds:?}");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
 fn shape_route_fails_fast_at_the_same_record() {
     let text = corrupt(&dataset(Profile::Twitter));
     let mut firsts = Vec::new();
