@@ -4,9 +4,9 @@
 //! ingest codes of `infer` for unreadable (4) or malformed (3) input.
 
 use crate::args::ArgStream;
+use crate::cmd_infer::infer_schema;
 use crate::{CliError, CliResult};
-use typefuse::pipeline::Source;
-use typefuse::{IoSite, JobConfig};
+use typefuse::IoSite;
 use typefuse_types::diff::diff;
 use typefuse_types::{parse_type, Type};
 
@@ -23,7 +23,10 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let (old, new) = if as_schemas {
         (load_schema(&old_input)?, load_schema(&new_input)?)
     } else {
-        (infer_schema(&old_input)?, infer_schema(&new_input)?)
+        (
+            infer_schema(Some(&old_input))?,
+            infer_schema(Some(&new_input))?,
+        )
     };
 
     let changes = diff(&old, &new);
@@ -52,18 +55,4 @@ fn load_schema(path: &str) -> Result<Type, CliError> {
     })?;
     parse_type(text.trim())
         .map_err(|e| CliError::with_code(format!("invalid schema in {path}: {e}"), 3))
-}
-
-/// Infer one side through the same fold as `infer`.
-fn infer_schema(input: &str) -> Result<Type, CliError> {
-    let reader = crate::cmd_infer::open_input(Some(input))?;
-    let result = JobConfig::new()
-        .without_type_stats()
-        .build()
-        .run(Source::ndjson(reader))
-        .map_err(|e| {
-            let mapped = crate::ingest_error(e);
-            CliError::with_code(format!("{input}: {}", mapped.message), mapped.code)
-        })?;
-    Ok(result.schema)
 }

@@ -9,7 +9,7 @@ use crate::{CliError, CliResult};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use typefuse::pipeline::{Source, TypeStats};
-use typefuse::{BadRecord, ErrorPolicy, ErrorReport, IoSite, RetryPolicy};
+use typefuse::{BadRecord, ErrorPolicy, ErrorReport, IoSite, JobConfig, RetryPolicy};
 use typefuse_infer::{ArrayFusion, FuseConfig};
 use typefuse_json::{ErrorKind, NdjsonReader, ParserOptions, Value};
 use typefuse_obs::Recorder;
@@ -251,6 +251,22 @@ pub(crate) fn open_input(input: Option<&str>) -> Result<Box<dyn BufRead>, CliErr
         })?),
     };
     Ok(Box::new(BufReader::new(reader)))
+}
+
+/// Infer the schema of NDJSON input ([`open_input`]) through the same
+/// bounded-memory fold as `infer`. Bad input fails with `infer`'s exit
+/// codes: 3 when malformed, 4 when unreadable.
+pub(crate) fn infer_schema(input: Option<&str>) -> Result<Type, CliError> {
+    let result = JobConfig::new()
+        .without_type_stats()
+        .build()
+        .run(Source::ndjson(open_input(input)?))
+        .map_err(|e| {
+            let mapped = crate::ingest_error(e);
+            let name = input.unwrap_or("-");
+            CliError::with_code(format!("{name}: {}", mapped.message), mapped.code)
+        })?;
+    Ok(result.schema)
 }
 
 /// Read NDJSON from a file path or stdin (`-` or absent), counting

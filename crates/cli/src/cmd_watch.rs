@@ -4,7 +4,7 @@
 //! Connects to a `typefuse serve` protocol address, subscribes with
 //! `{"op":"watch","interval_ms":N}` and renders each streamed
 //! `telemetry` envelope as a per-source table (records, records/s, tail
-//! lag, skipped/quarantined, distinct shapes, published version) plus
+//! lag, skipped/quarantined, published version, breaker, checkpoint) plus
 //! the daemon-level series. `--raw` prints the envelopes verbatim
 //! instead, one JSON line per snapshot — the form scripts want.
 
@@ -25,9 +25,6 @@ struct SourceRow {
     offset: u64,
     skipped: u64,
     quarantined: u64,
-    shapes: u64,
-    shape_hits: u64,
-    shape_misses: u64,
     version: u64,
     breaker: u64,
     restarts: u64,
@@ -36,16 +33,6 @@ struct SourceRow {
 }
 
 impl SourceRow {
-    /// Shape-cache hit rate as a whole percentage, `"-"` off the shape
-    /// route (both counters zero).
-    fn hit_rate(&self) -> String {
-        let total = self.shape_hits + self.shape_misses;
-        match (self.shape_hits * 100).checked_div(total) {
-            Some(pct) => format!("{pct}%"),
-            None => "-".to_string(),
-        }
-    }
-
     /// The supervisor's circuit-breaker state for this source.
     fn breaker_state(&self) -> &'static str {
         match self.breaker {
@@ -135,9 +122,6 @@ fn render_snapshot(payload: &Value) -> String {
                         "typefuse_source_offset_bytes" => row.offset = value,
                         "typefuse_source_skipped" => row.skipped = value,
                         "typefuse_source_quarantined" => row.quarantined = value,
-                        "typefuse_source_distinct_shapes" => row.shapes = value,
-                        "typefuse_source_shape_hits" => row.shape_hits = value,
-                        "typefuse_source_shape_misses" => row.shape_misses = value,
                         "typefuse_source_version" => row.version = value,
                         "typefuse_source_breaker" => row.breaker = value,
                         "typefuse_source_restarts" => row.restarts = value,
@@ -166,15 +150,13 @@ fn render_snapshot(payload: &Value) -> String {
             .unwrap_or(0),
     ));
     out.push_str(&format!(
-        "{:<20} {:>10} {:>8} {:>12} {:>8} {:>12} {:>8} {:>6} {:>8} {:>8} {:>8} {:>9} {:>11}\n",
+        "{:<20} {:>10} {:>8} {:>12} {:>8} {:>12} {:>8} {:>8} {:>8} {:>9} {:>11}\n",
         "SOURCE",
         "RECORDS",
         "REC/S",
         "LAG(B)",
         "SKIPPED",
         "QUARANTINED",
-        "SHAPES",
-        "HIT%",
         "VERSION",
         "BREAKER",
         "RESTARTS",
@@ -183,15 +165,13 @@ fn render_snapshot(payload: &Value) -> String {
     ));
     for (source, row) in &rows {
         out.push_str(&format!(
-            "{:<20} {:>10} {:>8} {:>12} {:>8} {:>12} {:>8} {:>6} {:>8} {:>8} {:>8} {:>9} {:>11}\n",
+            "{:<20} {:>10} {:>8} {:>12} {:>8} {:>12} {:>8} {:>8} {:>8} {:>9} {:>11}\n",
             source,
             row.records,
             row.rate,
             row.lag,
             row.skipped,
             row.quarantined,
-            row.shapes,
-            row.hit_rate(),
             row.version,
             row.breaker_state(),
             row.restarts,

@@ -215,11 +215,13 @@ COMMANDS:
                            (default: in-memory)
         --compat MODE      backward | forward | full | none: gate each
                            published snapshot (default: none)
-        --dedup M          auto | on | off (as in infer)
         --checkpoint-dir D persist per-source checkpoints under D and
                            resume from them on restart (crash-safe: a
                            SIGKILL loses at most the records since the
-                           last checkpoint tick, never the schema)
+                           last checkpoint tick, never the schema); a
+                           checkpoint holds the source's profile (schema,
+                           record count, per-path statistics), error
+                           report and tail position
         --checkpoint-interval-ms N  checkpoint cadence (default: 1000)
         --max-sessions N   reject protocol sessions beyond N (default: 256)
         --session-idle-ms N  close sessions idle for N ms (default: keep)
@@ -231,14 +233,17 @@ COMMANDS:
         --log-level L      debug | info | warn | error: minimum event
                            level kept (default: info)
         plus the shared ingest flags: --on-error, --quarantine,
-        --max-errors, --max-depth, --max-line-bytes (see infer)
+        --max-errors, --max-depth, --max-line-bytes (see infer).
+        Every line takes the same step as in `infer --profile-json`,
+        so `schema` and `profile` answer what a batch run over the same
+        bytes would.
         Live telemetry over the protocol: {\"op\":\"metrics\"} returns one
         snapshot, {\"op\":\"metrics\",\"format\":\"prometheus\"} the text
         exposition, {\"op\":\"watch\",\"interval_ms\":N} a snapshot stream
 
     watch ADDR           live per-source telemetry tables from a running
                          daemon (records, records/s, tail lag, skipped,
-                         quarantined, shapes, published version, breaker
+                         quarantined, published version, breaker
                          state, restarts, checkpoint size and age)
         --interval-ms N    snapshot interval (default: 1000)
         --count N          stop after N snapshots (default: stream until

@@ -287,6 +287,13 @@ fn removed_flags_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(stderr(&out).contains(flag), "{flag}: {}", stderr(&out));
     }
+    // Serve folds one profile per source, whatever the job's Reduce
+    // and Map routes: it takes neither flag.
+    for (flag, value) in [("--dedup", "on"), ("--map-path", "shape")] {
+        let out = typefuse(&["serve", flag, value], None);
+        assert_eq!(out.status.code(), Some(2), "serve {flag}");
+        assert!(stderr(&out).contains(flag), "{flag}: {}", stderr(&out));
+    }
 }
 #[test]
 fn stdin_errors_report_line_numbers() {
@@ -1003,6 +1010,40 @@ fn diff_input_errors_use_ingest_exit_codes() {
     assert_eq!(out.status.code(), Some(4), "unreadable: {}", stderr(&out));
     let out = typefuse(&["diff", good, good], None);
     assert_eq!(out.status.code(), Some(0), "no drift: {}", stderr(&out));
+}
+
+#[test]
+fn registry_publish_input_errors_use_ingest_exit_codes() {
+    let dir = std::env::temp_dir().join("typefuse-cli-test-publish-errors");
+    std::fs::create_dir_all(&dir).unwrap();
+    let pid = std::process::id();
+    let log = dir.join(format!("reg-{pid}.ndjson"));
+    let bad = dir.join("bad.ndjson");
+    std::fs::write(&bad, "{\"a\":1}\n{oops\n").unwrap();
+    let log_arg = log.to_str().unwrap();
+    let publish = |input: &str, stdin: Option<&str>| {
+        typefuse(
+            &["registry", "publish", "s", input, "--log", log_arg],
+            stdin,
+        )
+    };
+
+    let out = publish(bad.to_str().unwrap(), None);
+    assert_eq!(out.status.code(), Some(3), "malformed: {}", stderr(&out));
+    assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
+    let out = publish("-", Some("{\"a\":1}\n{oops\n"));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "malformed stdin: {}",
+        stderr(&out)
+    );
+    let out = publish("/nonexistent/typefuse-publish.ndjson", None);
+    assert_eq!(out.status.code(), Some(4), "unreadable: {}", stderr(&out));
+    assert!(!log.exists(), "a failed publish writes nothing");
+    let out = publish("-", Some("{\"a\":1}\n"));
+    assert!(out.status.success(), "clean input: {}", stderr(&out));
+    std::fs::remove_file(&log).ok();
 }
 
 // ---- serve: resident daemon end-to-end --------------------------------

@@ -133,6 +133,9 @@ impl<'a> EventParser<'a> {
         }
     }
 
+    /// Enter a container whose opening bracket is the next byte. A
+    /// recursion-limit error points at that bracket, as the tree
+    /// parser's does.
     fn push_container(&mut self, c: Container) -> Result<()> {
         self.stack.push(c);
         if self.stack.len() > self.options.max_depth {
@@ -178,14 +181,14 @@ impl<'a> EventParser<'a> {
                             return Ok(Some(Event::ArrayEnd));
                         }
                         Some(b'{') => {
-                            self.parser.bump_public();
                             self.push_container(Container::Object)?;
+                            self.parser.bump_public();
                             self.state = State::AwaitKey { allow_end: true };
                             return Ok(Some(Event::ObjectStart));
                         }
                         Some(b'[') => {
-                            self.parser.bump_public();
                             self.push_container(Container::Array)?;
+                            self.parser.bump_public();
                             self.state = State::AwaitValue { allow_end: true };
                             return Ok(Some(Event::ArrayStart));
                         }
@@ -455,6 +458,30 @@ mod tests {
             .chain(std::iter::repeat_n(']', 600))
             .collect();
         assert_eq!(error_of(&deep), ErrorKind::RecursionLimitExceeded);
+    }
+
+    #[test]
+    fn recursion_limit_points_at_the_bracket_like_the_tree_parser() {
+        let options = ParserOptions {
+            max_depth: 2,
+            ..ParserOptions::default()
+        };
+        for text in ["{\"a\":{\"b\":{\"c\":1}}}", "[1,[2,[3]]]"] {
+            let mut events = EventParser::with_options(text.as_bytes(), options.clone());
+            let from_events = loop {
+                match events.next_event() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("{text}: depth 3 accepted"),
+                    Err(e) => break e,
+                }
+            };
+            let from_tree = Parser::with_options(text.as_bytes(), options.clone())
+                .parse_complete()
+                .unwrap_err();
+            assert_eq!(from_events, from_tree, "{text}");
+            let bracket = text.rfind(['{', '[']).unwrap() + 1;
+            assert_eq!(from_events.span().start.column as usize, bracket, "{text}");
+        }
     }
 
     #[test]

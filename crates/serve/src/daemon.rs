@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use typefuse::pipeline::DedupMode;
+use typefuse::pipeline::SchemaJob;
 use typefuse::JobConfig;
 use typefuse_engine::{spawn_periodic, BackgroundTask};
 use typefuse_json::{RetryPolicy, TailLine, TailReader, TailStatus};
@@ -67,7 +67,7 @@ pub struct ChaosConfig {
 }
 
 /// Daemon configuration. The ingest knobs (error policy, parser
-/// limits, fuse configuration, dedup mode, recorder) come from the same
+/// limits, line guard, fuse configuration, recorder) come from the same
 /// [`JobConfig`] the batch pipeline uses — one configuration surface
 /// for batch and resident alike.
 #[derive(Debug, Clone)]
@@ -476,16 +476,13 @@ impl Daemon {
 
         let hub = TelemetryHub::new();
 
-        let dedup = match config.job.dedup {
-            DedupMode::On | DedupMode::Auto => true,
-            DedupMode::Off => false,
-        };
+        let job = config.job.build();
         if let Some(dir) = &config.checkpoint_dir {
             std::fs::create_dir_all(dir)?;
         }
         let mut sources = BTreeMap::new();
         for spec in &config.sources {
-            let state = load_or_new_state(spec, &config, dedup, &recorder, &events);
+            let state = load_or_new_state(spec, &config, &job, &events);
             if sources
                 .insert(spec.name.clone(), Arc::new(Mutex::new(state)))
                 .is_some()
@@ -652,22 +649,11 @@ impl Daemon {
 fn load_or_new_state(
     spec: &SourceSpec,
     config: &ServeConfig,
-    dedup: bool,
-    recorder: &Recorder,
+    job: &SchemaJob,
     events: &EventLog,
 ) -> SourceState {
-    let fresh = || {
-        SourceState::new(
-            &spec.name,
-            dedup,
-            config.job.map_path,
-            config.job.fuse_config,
-            config.job.parser_options.clone(),
-            config.job.error_policy.clone(),
-            recorder.clone(),
-            events.clone(),
-        )
-    };
+    let recorder = &job.recorder;
+    let fresh = || SourceState::new(&spec.name, job, events.clone());
     let Some(dir) = &config.checkpoint_dir else {
         return fresh();
     };
@@ -683,17 +669,7 @@ fn load_or_new_state(
                     "torn checkpoint tail: resuming from the last good frame",
                 );
             }
-            match SourceState::restore(
-                &spec.name,
-                dedup,
-                config.job.map_path,
-                config.job.fuse_config,
-                config.job.parser_options.clone(),
-                config.job.error_policy.clone(),
-                recorder.clone(),
-                events.clone(),
-                &loaded.payload,
-            ) {
+            match SourceState::restore(&spec.name, job, events.clone(), &loaded.payload) {
                 Ok(state) => {
                     recorder.add("serve.checkpoint_resumed", 1);
                     events.log(
@@ -864,16 +840,7 @@ fn spawn_source_poller(
         .hub
         .gauge(source_series("typefuse_source_offset_bytes"));
     let m_lag = shared.hub.gauge(source_series("typefuse_source_lag_bytes"));
-    let m_shapes = shared
-        .hub
-        .gauge(source_series("typefuse_source_distinct_shapes"));
     let m_version = shared.hub.gauge(source_series("typefuse_source_version"));
-    let m_shape_hits = shared
-        .hub
-        .gauge(source_series("typefuse_source_shape_hits"));
-    let m_shape_misses = shared
-        .hub
-        .gauge(source_series("typefuse_source_shape_misses"));
     let m_rate = shared
         .hub
         .approx_gauge(source_series("typefuse_source_records_per_sec"));
@@ -1120,10 +1087,7 @@ fn spawn_source_poller(
                 m_records.add(absorbed);
                 m_skipped.set(state.report.skipped());
                 m_quarantined.set(state.quarantined);
-                m_shapes.set(state.distinct_shapes());
                 m_version.set(state.version.unwrap_or(0));
-                m_shape_hits.set(state.shape_hits());
-                m_shape_misses.set(state.shape_misses());
                 if !state.is_active() {
                     return Exit::Stop;
                 }
@@ -1420,5 +1384,56 @@ fn request_name(request: &Request) -> &'static str {
         Request::Metrics { .. } => "metrics",
         Request::Watch { .. } => "watch",
         Request::Shutdown => "shutdown",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Load the `events` source from a checkpoint directory holding
+    /// `fixture` as its one frame.
+    fn load_fixture(fixture: &str) -> (SourceState, EventLog) {
+        let dir = std::env::temp_dir().join(format!(
+            "typefuse-serve-daemon-test-{}-{}",
+            std::process::id(),
+            fixture.len()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = checkpoint::checkpoint_path(&dir, "events");
+        checkpoint::rewrite(&path, fixture.trim().as_bytes()).unwrap();
+        let config = ServeConfig::new()
+            .checkpoint_dir(&dir)
+            .watch_file("events", dir.join("events.ndjson"))
+            .job(JobConfig::new().on_error(typefuse::ErrorPolicy::skip()));
+        let events = EventLog::new(64, Level::Debug);
+        let state = load_or_new_state(&config.sources[0], &config, &config.job.build(), &events);
+        std::fs::remove_dir_all(&dir).ok();
+        (state, events)
+    }
+
+    #[test]
+    fn version_1_checkpoints_resume_or_start_cold() {
+        let (state, _) = load_fixture(include_str!("../tests/fixtures/checkpoint_v1_events.json"));
+        assert_eq!(
+            (state.records(), state.lines(), state.tail_offset),
+            (3, 4, 140)
+        );
+
+        // A shape-route v1 payload has an empty profile: cold start.
+        let (state, events) =
+            load_fixture(include_str!("../tests/fixtures/checkpoint_v1_shape.json"));
+        assert_eq!(
+            (state.records(), state.lines(), state.tail_offset),
+            (0, 0, 0)
+        );
+        assert!(
+            events
+                .recent(8)
+                .iter()
+                .any(|e| e.message.contains("unusable checkpoint")),
+            "{:?}",
+            events.recent(8)
+        );
     }
 }

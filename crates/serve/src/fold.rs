@@ -1,39 +1,30 @@
 //! Per-source folding state: the warm accumulator a poller feeds and
 //! the protocol reads.
 //!
-//! Exactness rests on the fusion laws (Section 5 of the paper): fuse is
-//! associative, commutative and idempotent, so absorbing appended
-//! records one batch at a time produces byte-identically the schema a
-//! batch run over the whole file would. The accumulator is kept *warm*
-//! across batches — when shape dedup is on, the hash-consed interner
-//! and memoized fuse cache carry over, so a redundant feed pays the
-//! inference cost once per distinct shape, not once per record.
+//! Exactness rests on the fusion laws (Section 5 of the paper): fusion
+//! is associative and commutative, so absorbing appended records one
+//! batch at a time produces byte-identically the schema and profile a
+//! batch run over the whole file would. Serve ≡ batch holds by
+//! construction: every tailed line goes through the batch fold's own
+//! per-line [`step`] into one [`ProfileAcc`] per source, built from the
+//! same [`SchemaJob`]. What stays here is what only a daemon has: the
+//! line counter, the per-record error policy, and the event log.
 
-use std::path::PathBuf;
-use typefuse::pipeline::MapPath;
+use std::path::Path;
+use typefuse::fold::{absorb_profile, profile_acc, step, Step};
+use typefuse::pipeline::SchemaJob;
 use typefuse::{BadRecord, ErrorPolicy, ErrorReport};
-use typefuse_infer::{infer_type, DedupAcc, FuseConfig, Incremental, ProfileAcc, ShapeCache};
-use typefuse_json::{Map, Parser, ParserOptions, Value};
-use typefuse_obs::{EventLog, Level, Recorder};
+use typefuse_infer::ProfileAcc;
+use typefuse_json::{Map, TailLine, Value};
+use typefuse_obs::{EventLog, Level};
 use typefuse_registry::{CompatMode, RegistryStore};
 use typefuse_types::diff::SchemaChange;
 use typefuse_types::Type;
 
-/// The warm schema accumulator: shape-dedup or plain incremental.
-enum Acc {
-    /// Hash-consed interner + memoized fusion, carried across batches.
-    Dedup(Box<DedupAcc>),
-    /// Plain running fusion.
-    Plain(Incremental),
-}
-
-/// One successfully parsed record, in whichever form the Map route
-/// produced it: a value tree (events/values routes) or a bare type
-/// (shape route).
-enum Folded {
-    Value(Value),
-    Type(Type),
-}
+/// The checkpoint payload version [`SourceState::checkpoint_value`]
+/// writes. Version 1 also carried the schema and record count beside
+/// the profile, which holds both.
+const CHECKPOINT_VERSION: i64 = 2;
 
 /// A source's health, as reported by the protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +43,10 @@ pub enum SourceStatus {
 /// mutates it behind a mutex; protocol sessions read it.
 pub(crate) struct SourceState {
     pub(crate) name: String,
-    acc: Acc,
+    /// The ingest configuration: error policy, parser options, fuse
+    /// config, line guard and recorder, exactly as a batch run uses it.
+    job: SchemaJob,
+    /// The schema, record count and per-path profile.
     profile: ProfileAcc,
     pub(crate) report: ErrorReport,
     /// 1-based input line counter (bad lines included, like batch).
@@ -78,37 +72,17 @@ pub(crate) struct SourceState {
     /// Bumped on every change worth persisting; the checkpointer skips
     /// sources whose revision it has already written.
     pub(crate) ckpt_rev: u64,
-    fuse_config: FuseConfig,
-    parser: ParserOptions,
-    policy: ErrorPolicy,
-    recorder: Recorder,
     events: EventLog,
-    /// Signature → type memo for the shape route (`--map-path shape`),
-    /// kept warm across poll batches — steady-state feeds are the most
-    /// shape-redundant input there is. `None` on the other routes.
-    shape: Option<ShapeCache>,
+    /// `ingest.records.<name>`, named once rather than per batch.
+    records_counter: String,
 }
 
 impl SourceState {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        name: &str,
-        dedup: bool,
-        map_path: MapPath,
-        fuse_config: FuseConfig,
-        parser: ParserOptions,
-        policy: ErrorPolicy,
-        recorder: Recorder,
-        events: EventLog,
-    ) -> Self {
+    pub(crate) fn new(name: &str, job: &SchemaJob, events: EventLog) -> Self {
         SourceState {
             name: name.to_string(),
-            acc: if dedup {
-                Acc::Dedup(Box::new(DedupAcc::new()))
-            } else {
-                Acc::Plain(Incremental::with_config(fuse_config))
-            },
-            profile: ProfileAcc::with_config(fuse_config),
+            job: job.clone(),
+            profile: profile_acc(job),
             report: ErrorReport::new(),
             lines: 0,
             version: None,
@@ -120,43 +94,24 @@ impl SourceState {
             tail_pending: Vec::new(),
             tail_pending_overflow: false,
             ckpt_rev: 0,
-            fuse_config,
-            parser,
-            policy,
-            recorder,
             events,
-            shape: (map_path == MapPath::Shape).then(ShapeCache::new),
+            records_counter: format!("ingest.records.{name}"),
         }
     }
 
     /// The current fused schema.
-    pub(crate) fn schema(&self) -> Type {
-        match &self.acc {
-            Acc::Dedup(acc) => acc.schema(),
-            Acc::Plain(acc) => acc.schema().clone(),
-        }
+    pub(crate) fn schema(&self) -> &Type {
+        self.profile.schema()
     }
 
     /// Records successfully folded so far.
     pub(crate) fn records(&self) -> u64 {
-        match &self.acc {
-            Acc::Dedup(acc) => acc.records(),
-            Acc::Plain(acc) => acc.count(),
-        }
+        self.profile.records()
     }
 
     /// A point-in-time profile report (presence, kinds, provenance).
     pub(crate) fn profile_report(&self) -> typefuse_infer::ProfileReport {
         self.profile.clone().finish()
-    }
-
-    /// Distinct interned shapes held by the dedup accumulator (0 on the
-    /// plain route, which does not track shapes).
-    pub(crate) fn distinct_shapes(&self) -> u64 {
-        match &self.acc {
-            Acc::Dedup(acc) => acc.distinct_shapes() as u64,
-            Acc::Plain(_) => 0,
-        }
     }
 
     pub(crate) fn is_active(&self) -> bool {
@@ -191,14 +146,15 @@ impl SourceState {
     }
 
     /// Serialize everything a restart needs to resume this source
-    /// exactly: the accumulator (schema + record count), profile, error
-    /// report, line/tail position, and publish bookkeeping. All `u64`s
-    /// travel as decimal strings (see `typefuse_json::codec`) so values
-    /// above 2^53 survive the JSON round trip.
+    /// exactly: the profile (which carries the schema and record
+    /// count), error report, line/tail position, and publish
+    /// bookkeeping. All `u64`s travel as decimal strings (see
+    /// `typefuse_json::codec`) so values above 2^53 survive the JSON
+    /// round trip.
     pub(crate) fn checkpoint_value(&self) -> Value {
         use typefuse_json::codec::u64_to_value;
         let mut m = Map::new();
-        m.insert("v", Value::from(1i64));
+        m.insert("v", Value::from(CHECKPOINT_VERSION));
         m.insert("name", Value::from(self.name.clone()));
         m.insert("lines", u64_to_value(self.lines));
         m.insert("tail_offset", u64_to_value(self.tail_offset));
@@ -207,12 +163,6 @@ impl SourceState {
             "tail_pending_overflow",
             Value::Bool(self.tail_pending_overflow),
         );
-        m.insert("dedup", Value::Bool(matches!(self.acc, Acc::Dedup(_))));
-        m.insert(
-            "schema",
-            Value::from(typefuse_types::wire::to_wire(&self.schema())),
-        );
-        m.insert("records", u64_to_value(self.records()));
         m.insert("profile", self.profile.checkpoint_value());
         m.insert("report", self.report.checkpoint_value());
         if let Some(version) = self.version {
@@ -238,22 +188,18 @@ impl SourceState {
         Value::Object(m)
     }
 
-    /// Rebuild a source from a checkpoint payload. Takes the same
-    /// configuration as [`SourceState::new`] — the fuse config, parser
-    /// options and error policy are *not* persisted; a resumed daemon
-    /// must run the same job configuration as the one that wrote the
-    /// checkpoint, or the incremental ≡ batch law breaks. The dedup
-    /// route and shape cache restart cold (pure perf state); the fused
-    /// schema, profile and error report resume exactly.
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuild a source from a checkpoint payload. Takes the same job as
+    /// [`SourceState::new`] — the fuse config, parser options and error
+    /// policy are *not* persisted; a resumed daemon must run the same
+    /// job configuration as the one that wrote the checkpoint, or the
+    /// incremental ≡ batch law breaks.
+    ///
+    /// A version-1 payload restores only when its profile holds every
+    /// record its schema does; one whose profile was left empty (the
+    /// removed shape route) is unusable, and the daemon starts cold.
     pub(crate) fn restore(
         name: &str,
-        dedup: bool,
-        map_path: MapPath,
-        fuse_config: FuseConfig,
-        parser: ParserOptions,
-        policy: ErrorPolicy,
-        recorder: Recorder,
+        job: &SchemaJob,
         events: EventLog,
         payload: &Value,
     ) -> Result<Self, String> {
@@ -262,7 +208,7 @@ impl SourceState {
             .get("v")
             .and_then(Value::as_i64)
             .ok_or("missing checkpoint version")?;
-        if version_tag != 1 {
+        if !(1..=CHECKPOINT_VERSION).contains(&version_tag) {
             return Err(format!("unsupported checkpoint version {version_tag}"));
         }
         let stored_name = payload
@@ -286,17 +232,20 @@ impl SourceState {
             .get("tail_pending_overflow")
             .and_then(Value::as_bool)
             .ok_or("missing tail_pending_overflow")?;
-        let schema = typefuse_types::wire::from_wire(
-            payload
-                .get("schema")
-                .and_then(Value::as_str)
-                .ok_or("missing schema")?,
-        )?;
-        let records = u64_from_value(payload.get("records").ok_or("missing records")?)?;
         let profile = ProfileAcc::from_checkpoint_value(
             payload.get("profile").ok_or("missing profile")?,
-            fuse_config,
-        )?;
+            job.fuse_config,
+        )?
+        .with_parser_options(job.parser_options.clone());
+        if version_tag == 1 {
+            let records = u64_from_value(payload.get("records").ok_or("missing records")?)?;
+            if profile.records() != records {
+                return Err(format!(
+                    "version 1 profile holds {} of {records} records",
+                    profile.records()
+                ));
+            }
+        }
         let report =
             ErrorReport::from_checkpoint_value(payload.get("report").ok_or("missing report")?)?;
         let version = opt_u64_from_value(payload.get("version"))?;
@@ -326,12 +275,6 @@ impl SourceState {
         };
         let last_activity_ms = opt_u64_from_value(payload.get("last_activity_ms"))?;
         Ok(SourceState {
-            name: name.to_string(),
-            acc: if dedup {
-                Acc::Dedup(Box::new(DedupAcc::resume(&schema, records)))
-            } else {
-                Acc::Plain(Incremental::resume(schema, records, fuse_config))
-            },
             profile,
             report,
             lines,
@@ -343,13 +286,7 @@ impl SourceState {
             tail_offset,
             tail_pending,
             tail_pending_overflow,
-            ckpt_rev: 0,
-            fuse_config,
-            parser,
-            policy,
-            recorder,
-            events,
-            shape: (map_path == MapPath::Shape).then(ShapeCache::new),
+            ..SourceState::new(name, job, events)
         })
     }
 
@@ -358,103 +295,30 @@ impl SourceState {
     /// violation (fail-fast bad record, exhausted budget) flips the
     /// source to [`SourceStatus::Failed`] and stops folding — a daemon
     /// must keep serving its other sources.
-    pub(crate) fn fold_batch(&mut self, lines: &[typefuse_json::TailLine]) -> u64 {
+    pub(crate) fn fold_batch(&mut self, lines: &[TailLine]) -> u64 {
         let mut absorbed = 0u64;
         if !lines.is_empty() {
             self.last_activity_ms = Some(unix_ms());
         }
-        for line in lines {
+        for tailed in lines {
             if !self.is_active() {
                 break;
             }
             self.lines += 1;
-            if line.truncated {
-                let error = typefuse_json::Error::at(
-                    typefuse_json::ErrorKind::RecordTooLarge(line.content.len()),
-                    typefuse_json::Position {
-                        offset: 0,
-                        line: self.lines as u32,
-                        column: 1,
-                    },
-                );
-                self.note_bad(error, &line.content);
-                continue;
+            let (job, profile, line) = (&self.job, &mut self.profile, self.lines);
+            let absorb = |text: &str| absorb_profile(job, profile, line, text).map(drop);
+            match step(job, line, &tailed.content, tailed.truncated, absorb) {
+                Step::Blank => {}
+                Step::Folded => absorbed += 1,
+                Step::Bad(bad) => self.note_bad(bad),
             }
-            let trimmed = typefuse_json::ndjson::trim_ascii_bytes(&line.content);
-            if trimmed.is_empty() {
-                continue;
-            }
-            // Shape route: the warm signature cache infers the type
-            // without materialising a value (misses replay the event
-            // fold), so the accumulator absorbs the type directly. The
-            // profiler needs materialised values, so on this route the
-            // `profile` op reports an empty profile — the trade the
-            // route makes for hash-lookup steady state.
-            let outcome = if let Some(cache) = self.shape.as_mut() {
-                cache
-                    .infer_line(trimmed, &self.parser, &self.recorder)
-                    .map(Folded::Type)
-            } else {
-                Parser::with_options(trimmed, self.parser.clone())
-                    .parse_complete()
-                    .map(Folded::Value)
-            };
-            match outcome {
-                Ok(Folded::Value(value)) => {
-                    self.absorb(&value);
-                    absorbed += 1;
-                }
-                Ok(Folded::Type(ty)) => {
-                    self.absorb_type(ty);
-                    absorbed += 1;
-                }
-                Err(e) => {
-                    // Re-anchor the error at the stream line so alerts
-                    // point at the right append.
-                    let mut pos = e.span().start;
-                    pos.line = self.lines as u32;
-                    let anchored = typefuse_json::Error::at(e.kind().clone(), pos);
-                    self.note_bad(anchored, trimmed);
-                }
-            }
+        }
+        if absorbed > 0 {
+            let recorder = &self.job.recorder;
+            recorder.add("ingest.records", absorbed);
+            recorder.add(&self.records_counter, absorbed);
         }
         absorbed
-    }
-
-    fn absorb(&mut self, value: &Value) {
-        let line = self.lines;
-        match &mut self.acc {
-            Acc::Dedup(acc) => acc.absorb_type(self.fuse_config, &infer_type(value)),
-            Acc::Plain(acc) => acc.absorb(value),
-        }
-        self.profile.absorb_value_at(line, value);
-        self.count_record();
-    }
-
-    /// Absorb an already inferred type (shape route): same accumulator
-    /// fold and counters as [`SourceState::absorb`], no value profile.
-    fn absorb_type(&mut self, ty: Type) {
-        match &mut self.acc {
-            Acc::Dedup(acc) => acc.absorb_type(self.fuse_config, &ty),
-            Acc::Plain(acc) => acc.absorb_type(ty),
-        }
-        self.count_record();
-    }
-
-    fn count_record(&mut self) {
-        self.recorder.add("ingest.records", 1);
-        self.recorder
-            .add(&format!("ingest.records.{}", self.name), 1);
-    }
-
-    /// Signature-cache hits so far (0 off the shape route).
-    pub(crate) fn shape_hits(&self) -> u64 {
-        self.shape.as_ref().map_or(0, ShapeCache::hits)
-    }
-
-    /// Signature-cache misses so far (0 off the shape route).
-    pub(crate) fn shape_misses(&self) -> u64 {
-        self.shape.as_ref().map_or(0, ShapeCache::misses)
     }
 
     /// Apply the error policy to one bad record. Mirrors the batch
@@ -462,32 +326,23 @@ impl SourceState {
     /// daemon has no "end of run": fail-fast marks the source failed,
     /// skip drops, quarantine appends the record to the sidecar, and an
     /// exhausted `max_errors` budget fails the source.
-    fn note_bad(&mut self, error: typefuse_json::Error, text: &[u8]) {
-        self.recorder.add("ingest.parse_errors", 1);
-        if self.policy.is_fail_fast() {
-            self.fail(format!("parse error: {error}"));
+    fn note_bad(&mut self, bad: BadRecord) {
+        let recorder = self.job.recorder.clone();
+        recorder.add("ingest.parse_errors", 1);
+        if self.job.error_policy.is_fail_fast() {
+            self.fail(format!("parse error: {}", bad.error));
             return;
         }
-        let keeps_text = self.policy.keeps_text();
-        let bad = BadRecord {
-            at: self.lines,
-            error,
-            text: keeps_text.then(|| String::from_utf8_lossy(text).into_owned()),
-        };
-        match &self.policy {
-            ErrorPolicy::Quarantine { sink, .. } => match append_quarantine(sink, &bad) {
-                Ok(()) => {
-                    self.recorder.add("ingest.quarantined", 1);
-                    self.quarantined += 1;
-                }
-                Err(e) => {
-                    self.fail(format!("cannot quarantine to {sink:?}: {e}"));
-                    return;
-                }
-            },
-            ErrorPolicy::Skip { .. } | ErrorPolicy::FailFast => {}
+        if let ErrorPolicy::Quarantine { sink, .. } = &self.job.error_policy {
+            if let Err(e) = append_quarantine(sink, &bad) {
+                let reason = format!("cannot quarantine to {sink:?}: {e}");
+                self.fail(reason);
+                return;
+            }
+            recorder.add("ingest.quarantined", 1);
+            self.quarantined += 1;
         }
-        self.recorder.add("ingest.skipped", 1);
+        recorder.add("ingest.skipped", 1);
         self.events.log(
             Level::Warn,
             &self.name,
@@ -495,13 +350,7 @@ impl SourceState {
             format!("bad record at line {}: {}", bad.at, bad.error),
         );
         self.report.note(bad);
-        let budget = match &self.policy {
-            ErrorPolicy::Skip { max_errors } | ErrorPolicy::Quarantine { max_errors, .. } => {
-                *max_errors
-            }
-            ErrorPolicy::FailFast => None,
-        };
-        if let Some(limit) = budget {
+        if let Some(limit) = self.job.error_policy.max_errors() {
             if self.report.skipped() > limit {
                 self.fail(format!(
                     "error budget exhausted: {} bad records (limit {limit})",
@@ -524,18 +373,17 @@ impl SourceState {
     /// rejection becomes a drift alert (the feed *did* drift — in a way
     /// the gate forbids) but keeps the source folding.
     pub(crate) fn publish(&mut self, registry: &mut dyn RegistryStore, compat: CompatMode) {
-        let schema = self.schema();
-        if schema == Type::Bottom {
+        if *self.schema() == Type::Bottom {
             return;
         }
         let previous = self.version;
-        match registry.publish_schema(&self.name, &schema, compat) {
+        match registry.publish_schema(&self.name, self.profile.schema(), compat) {
             Ok(outcome) => {
                 self.version = Some(outcome.version);
                 if outcome.unchanged {
                     return;
                 }
-                self.recorder.add("serve.publishes", 1);
+                self.job.recorder.add("serve.publishes", 1);
                 self.events.log(
                     Level::Info,
                     &self.name,
@@ -549,7 +397,7 @@ impl SourceState {
                 }
             }
             Err(e) => {
-                self.recorder.add("serve.publish_rejected", 1);
+                self.job.recorder.add("serve.publish_rejected", 1);
                 let alert = format!("publish rejected ({compat:?}): {e}");
                 self.events
                     .log(Level::Warn, &self.name, "publish", alert.clone());
@@ -559,7 +407,7 @@ impl SourceState {
     }
 
     fn record_drift(&mut self, from: u64, to: u64, changes: &[SchemaChange]) {
-        self.recorder.add("serve.drift", changes.len() as u64);
+        self.job.recorder.add("serve.drift", changes.len() as u64);
         for change in changes {
             let alert = format!("v{from}→v{to}: {change}");
             self.events
@@ -599,32 +447,69 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Append one bad record to the quarantine sidecar in the same NDJSON
-/// shape batch quarantine writes (`at`/`error`/`text`), so
-/// `typefuse::faults::read_quarantine` replays daemon sidecars too.
-/// Appending (instead of the batch writer's truncate) is what a
-/// long-running fold needs: each batch must extend, not replace.
-fn append_quarantine(sink: &PathBuf, bad: &BadRecord) -> std::io::Result<()> {
+/// Append one bad record to the quarantine sidecar as the batch writer
+/// would write it, so `typefuse::faults::read_quarantine` replays daemon
+/// sidecars too. Appending (instead of the batch writer's truncate) is
+/// what a long-running fold needs: each batch must extend, not replace.
+fn append_quarantine(sink: &Path, bad: &BadRecord) -> std::io::Result<()> {
     use std::io::Write;
-    let mut obj = Map::new();
-    obj.insert("at", Value::from(bad.at as i64));
-    obj.insert("error", Value::from(bad.error.to_string()));
-    if let Some(text) = &bad.text {
-        obj.insert("text", Value::from(text.clone()));
-    }
-    let mut line = typefuse_json::to_string(&Value::Object(obj));
-    line.push('\n');
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(sink)?;
-    file.write_all(line.as_bytes())
+    file.write_all(typefuse::faults::quarantine_line(bad).as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use typefuse_json::TailLine;
+    use typefuse::pipeline::{MapPath, Source};
+    use typefuse::JobConfig;
+    use typefuse_json::TailReader;
+    use typefuse_obs::Recorder;
+    use typefuse_registry::CompatMode;
+
+    /// The line guard the odd-line corpus is folded under.
+    const MAX_LINE: usize = 40;
+
+    /// One line of every kind a tail meets, between clean records:
+    /// U+00A0 padding (Unicode whitespace the fold trims), non-UTF-8,
+    /// oversized (plain and CRLF), malformed (plain, CRLF and padded),
+    /// blank and CRLF.
+    const ODD_LINES: [&[u8]; 13] = [
+        b"{\"a\":1}",
+        b"\xc2\xa0{\"b\":null}\xc2\xa0",
+        b"{\"bin\":\"\xff\"}",
+        b"{\"long\":\"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx\"}",
+        b"{bad",
+        b"",
+        b"  \t",
+        b"{\"a\":\"s\",\"c\":[1,2]}\r",
+        b"\r",
+        b"{\"crlf\":\"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx\"}\r",
+        b"{nope}\r",
+        b"\xc2\xa0{oops",
+        b"{\"a\":2,\"c\":[]}",
+    ];
+
+    /// `lines` as NDJSON bytes, newline after each.
+    fn ndjson(lines: &[&[u8]]) -> Vec<u8> {
+        lines
+            .iter()
+            .flat_map(|l| l.iter().chain(b"\n"))
+            .copied()
+            .collect()
+    }
+
+    /// The lines a daemon's tail reader cuts `bytes` into, under the
+    /// corpus's line guard.
+    fn tail(bytes: &[u8]) -> Vec<TailLine> {
+        let mut reader = TailReader::new(bytes).with_max_line_bytes(MAX_LINE);
+        let mut out = Vec::new();
+        reader.poll(&mut out).unwrap();
+        out.extend(reader.take_pending());
+        out
+    }
 
     fn lines(texts: &[&str]) -> Vec<TailLine> {
         texts
@@ -636,83 +521,119 @@ mod tests {
             .collect()
     }
 
-    fn state(dedup: bool, policy: ErrorPolicy) -> SourceState {
-        state_on(dedup, MapPath::Events, policy)
+    fn config(policy: ErrorPolicy) -> JobConfig {
+        JobConfig::new()
+            .on_error(policy)
+            .max_line_bytes(MAX_LINE)
+            .recorder(Recorder::enabled())
     }
 
-    fn state_on(dedup: bool, map_path: MapPath, policy: ErrorPolicy) -> SourceState {
-        SourceState::new(
-            "s",
-            dedup,
-            map_path,
-            FuseConfig::default(),
-            ParserOptions::default(),
-            policy,
-            Recorder::enabled(),
-            EventLog::new(64, Level::Debug),
-        )
+    fn state_of(job: &SchemaJob) -> SourceState {
+        SourceState::new("s", job, EventLog::new(64, Level::Debug))
+    }
+
+    fn state(policy: ErrorPolicy) -> SourceState {
+        state_of(&config(policy).build())
+    }
+
+    fn restore(job: &SchemaJob, payload: &Value) -> Result<SourceState, String> {
+        restore_named("s", job, payload)
+    }
+
+    fn restore_named(name: &str, job: &SchemaJob, payload: &Value) -> Result<SourceState, String> {
+        SourceState::restore(name, job, EventLog::new(64, Level::Debug), payload)
+    }
+
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("typefuse-serve-fold-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{name}-{}.ndjson", std::process::id()))
+    }
+
+    /// Fold `input` in every number of polls from one to one per line,
+    /// under skip and quarantine, and compare schema, profile, error
+    /// report and quarantine sidecar with a profiled batch run over the
+    /// same bytes.
+    fn assert_serve_matches_batch(map_path: MapPath, input: &[u8]) {
+        // One pair of sidecars per map path: tests run in parallel.
+        let batch_sink = temp_path(&format!("batch-{map_path:?}"));
+        let serve_sink = temp_path(&format!("serve-{map_path:?}"));
+        let tailed = tail(input);
+        for quarantine in [false, true] {
+            let policy = |sink: &Path| match quarantine {
+                true => ErrorPolicy::quarantine(sink),
+                false => ErrorPolicy::skip(),
+            };
+            let batch = config(policy(&batch_sink))
+                .map_path(map_path)
+                .workers(2)
+                .build()
+                .run_profiled(Source::ndjson(input))
+                .unwrap();
+            // The daemon creates its sidecar at the first bad record.
+            let batch_sidecar = std::fs::read(&batch_sink).unwrap_or_default();
+            let job = config(policy(&serve_sink)).map_path(map_path).build();
+            for polls in 1..=tailed.len().max(1) {
+                let _ = std::fs::remove_file(&serve_sink);
+                let mut s = state_of(&job);
+                let per_poll = tailed.len().div_ceil(polls).max(1);
+                let absorbed: u64 = tailed.chunks(per_poll).map(|c| s.fold_batch(c)).sum();
+                let ctx = format!("{map_path:?}, quarantine={quarantine}, {polls} polls");
+                assert!(s.is_active(), "{ctx}");
+                assert_eq!(s.schema(), &batch.profile.schema, "{ctx}");
+                assert_eq!(
+                    (s.records(), absorbed),
+                    (batch.records, batch.records),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    s.profile_report().to_json(),
+                    batch.profile.to_json(),
+                    "{ctx}"
+                );
+                assert_eq!(s.report, batch.errors, "{ctx}");
+                if quarantine {
+                    let sidecar = std::fs::read(&serve_sink).unwrap_or_default();
+                    assert_eq!(sidecar, batch_sidecar, "{ctx}");
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&batch_sink);
+        let _ = std::fs::remove_file(&serve_sink);
     }
 
     #[test]
     fn incremental_fold_matches_batch_schema() {
         let texts = [r#"{"a": 1}"#, r#"{"a": "x", "b": true}"#, r#"{"b": false}"#];
-        for dedup in [false, true] {
-            let mut s = state(dedup, ErrorPolicy::FailFast);
-            // Two batches, like two polls of a growing file.
-            assert_eq!(s.fold_batch(&lines(&texts[..1])), 1);
-            assert_eq!(s.fold_batch(&lines(&texts[1..])), 2);
-            let batch = typefuse::JobConfig::new()
-                .build()
-                .run_ndjson(texts.join("\n").as_bytes())
-                .unwrap();
-            assert_eq!(s.schema(), batch.schema, "dedup={dedup}");
-            assert_eq!(s.records(), 3);
-        }
+        let mut s = state(ErrorPolicy::FailFast);
+        // Two batches, like two polls of a growing file.
+        assert_eq!(s.fold_batch(&lines(&texts[..1])), 1);
+        assert_eq!(s.fold_batch(&lines(&texts[1..])), 2);
+        let batch = typefuse::JobConfig::new()
+            .build()
+            .run_ndjson(texts.join("\n").as_bytes())
+            .unwrap();
+        assert_eq!(s.schema(), &batch.schema);
+        assert_eq!(s.records(), 3);
+
+        let clean: Vec<&[u8]> = texts.iter().map(|t| t.as_bytes()).collect();
+        assert_serve_matches_batch(MapPath::Events, &ndjson(&clean));
+        assert_serve_matches_batch(MapPath::Events, &ndjson(&ODD_LINES));
     }
 
     #[test]
-    fn shape_route_fold_matches_batch_schema_and_keeps_the_cache_warm() {
-        let texts = [
-            r#"{"a": 1}"#,
-            r#"{"a": 2}"#,
-            r#"{"a": "x", "b": true}"#,
-            r#"{"a": 3}"#,
-        ];
-        for dedup in [false, true] {
-            let mut s = state_on(dedup, MapPath::Shape, ErrorPolicy::FailFast);
-            assert_eq!(s.fold_batch(&lines(&texts[..2])), 2);
-            assert_eq!(s.fold_batch(&lines(&texts[2..])), 2);
-            let batch = typefuse::JobConfig::new()
-                .build()
-                .run_ndjson(texts.join("\n").as_bytes())
-                .unwrap();
-            assert_eq!(s.schema(), batch.schema, "dedup={dedup}");
-            assert_eq!(s.records(), 4);
-            // {"a":1}, {"a":2} and {"a":3} share one signature; the
-            // cache stayed warm across the two polls.
-            assert_eq!((s.shape_hits(), s.shape_misses()), (2, 2));
+    fn other_map_paths_fold_matches_batch_schema() {
+        // The map path reaches serve through the job: the shape route
+        // profiles events like the default, the value route parses trees.
+        for map_path in [MapPath::Shape, MapPath::Values] {
+            assert_serve_matches_batch(map_path, &ndjson(&ODD_LINES[..1]));
+            assert_serve_matches_batch(map_path, &ndjson(&ODD_LINES));
         }
-    }
-
-    #[test]
-    fn shape_route_applies_the_error_policy_per_record() {
-        let mut s = state_on(
-            false,
-            MapPath::Shape,
-            ErrorPolicy::Skip {
-                max_errors: Some(10),
-            },
-        );
-        s.fold_batch(&lines(&[r#"{"a": 1}"#, "not json", r#"{"a": 2}"#]));
-        assert!(s.is_active());
-        assert_eq!(s.records(), 2);
-        assert_eq!(s.report.skipped(), 1);
-        assert_eq!(s.shape_hits(), 1, "bad record never pollutes the cache");
     }
 
     #[test]
     fn fail_fast_marks_the_source_failed_but_keeps_prior_schema() {
-        let mut s = state(false, ErrorPolicy::FailFast);
+        let mut s = state(ErrorPolicy::FailFast);
         s.fold_batch(&lines(&[r#"{"a": 1}"#, "not json", r#"{"b": 2}"#]));
         assert!(matches!(s.status, SourceStatus::Failed(_)));
         assert_eq!(
@@ -724,17 +645,18 @@ mod tests {
 
     #[test]
     fn skip_policy_drops_bad_records_and_enforces_the_budget() {
-        let mut s = state(
-            false,
-            ErrorPolicy::Skip {
-                max_errors: Some(1),
-            },
-        );
+        let mut s = state(ErrorPolicy::Skip {
+            max_errors: Some(1),
+        });
         s.fold_batch(&lines(&[r#"{"a": 1}"#, "bad", r#"{"a": 2}"#]));
         assert!(s.is_active());
         assert_eq!(s.records(), 2);
         assert_eq!(s.report.skipped(), 1);
-        s.fold_batch(&lines(&["worse"]));
+        s.fold_batch(&lines(&["worse", ""]));
+        let counters = s.job.recorder.snapshot().counters;
+        assert_eq!(counters["ingest.records"], 2);
+        assert_eq!(counters["ingest.records.s"], 2);
+        assert_eq!(counters["ingest.skipped"], 2);
         assert!(
             matches!(s.status, SourceStatus::Failed(_)),
             "budget of 1 exhausted"
@@ -743,21 +665,20 @@ mod tests {
 
     #[test]
     fn quarantine_appends_across_batches() {
-        let dir = std::env::temp_dir().join("typefuse-serve-fold-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let sink = dir.join("quarantine.ndjson");
+        let sink = temp_path("quarantine");
         let _ = std::fs::remove_file(&sink);
-        let mut s = state(false, ErrorPolicy::quarantine(&sink));
+        let mut s = state(ErrorPolicy::quarantine(&sink));
         s.fold_batch(&lines(&["bad one"]));
         s.fold_batch(&lines(&["bad two"]));
         let replayed = typefuse::faults::read_quarantine(&sink).unwrap();
+        std::fs::remove_file(&sink).ok();
         assert_eq!(replayed.len(), 2, "second batch appended, not replaced");
     }
 
     #[test]
     fn publish_assigns_versions_and_reports_drift() {
         let mut registry = typefuse_registry::MemoryRegistry::new();
-        let mut s = state(false, ErrorPolicy::FailFast);
+        let mut s = state(ErrorPolicy::FailFast);
         s.fold_batch(&lines(&[r#"{"id": 1}"#]));
         s.publish(&mut registry, CompatMode::None);
         assert_eq!(s.version, Some(1));
@@ -778,12 +699,9 @@ mod tests {
     #[test]
     fn folding_emits_structured_events() {
         let mut registry = typefuse_registry::MemoryRegistry::new();
-        let mut s = state(
-            false,
-            ErrorPolicy::Skip {
-                max_errors: Some(10),
-            },
-        );
+        let mut s = state(ErrorPolicy::Skip {
+            max_errors: Some(10),
+        });
         s.fold_batch(&lines(&[r#"{"id": 1}"#, "not json"]));
         assert!(s.last_activity_ms.is_some(), "batch stamps activity");
         s.publish(&mut registry, CompatMode::None);
@@ -810,90 +728,71 @@ mod tests {
         );
     }
 
+    /// Fold `head`, checkpoint, restore, fold `rest`: the resumed state
+    /// must equal `full` in schema, records, report and profile.
+    fn assert_resume_matches(
+        job: &SchemaJob,
+        full: &SourceState,
+        head: &[TailLine],
+        rest: &[TailLine],
+    ) -> Result<(), String> {
+        let mut before = state_of(job);
+        before.fold_batch(head);
+        before.sync_tail(17, b"{\"part", false);
+        let mut resumed = restore(job, &before.checkpoint_value())?;
+        let check = |ok: bool, what: &str| ok.then_some(()).ok_or(what.to_string());
+        check(resumed.tail_offset == 17, "tail offset")?;
+        check(resumed.tail_pending == b"{\"part", "tail pending")?;
+        check(resumed.lines() == before.lines(), "lines")?;
+        resumed.fold_batch(rest);
+        check(resumed.schema() == full.schema(), "schema")?;
+        check(resumed.records() == full.records(), "records")?;
+        check(resumed.report == full.report, "report")?;
+        check(
+            resumed.profile_report().to_json() == full.profile_report().to_json(),
+            "profile",
+        )
+    }
+
     #[test]
     fn checkpoint_resume_is_byte_identical_for_every_cut() {
-        let texts = [
-            r#"{"a": 1}"#,
-            "not json",
-            r#"{"a": "x", "b": [1, null]}"#,
-            r#"{"b": {"c": 1.5}}"#,
-            r#"{"a": 2}"#,
-        ];
-        let policy = || ErrorPolicy::Skip {
-            max_errors: Some(10),
-        };
-        for dedup in [false, true] {
-            for map_path in [MapPath::Events, MapPath::Shape] {
-                let mut full = state_on(dedup, map_path, policy());
-                full.fold_batch(&lines(&texts));
-                for cut in 0..=texts.len() {
-                    let mut head = state_on(dedup, map_path, policy());
-                    head.fold_batch(&lines(&texts[..cut]));
-                    head.sync_tail(17, b"{\"part", false);
-                    let payload = head.checkpoint_value();
-                    let mut resumed = SourceState::restore(
-                        "s",
-                        dedup,
-                        map_path,
-                        FuseConfig::default(),
-                        ParserOptions::default(),
-                        policy(),
-                        Recorder::enabled(),
-                        EventLog::new(64, Level::Debug),
-                        &payload,
-                    )
-                    .unwrap();
-                    assert_eq!(resumed.tail_offset, 17);
-                    assert_eq!(resumed.tail_pending, b"{\"part");
-                    assert_eq!(resumed.lines(), head.lines());
-                    resumed.fold_batch(&lines(&texts[cut..]));
-                    let ctx = format!("dedup={dedup} map_path={map_path:?} cut={cut}");
-                    assert_eq!(
-                        resumed.schema().to_string(),
-                        full.schema().to_string(),
-                        "schema ({ctx})"
-                    );
-                    assert_eq!(resumed.records(), full.records(), "records ({ctx})");
-                    assert_eq!(
-                        resumed.report.checkpoint_value(),
-                        full.report.checkpoint_value(),
-                        "report ({ctx})"
-                    );
-                    assert_eq!(
-                        resumed.profile_report().to_json(),
-                        full.profile_report().to_json(),
-                        "profile ({ctx})"
-                    );
-                }
+        let job = config(ErrorPolicy::Skip {
+            max_errors: Some(100),
+        })
+        .build();
+        let tailed = tail(&ndjson(&ODD_LINES));
+        let mut full = state_of(&job);
+        full.fold_batch(&tailed);
+        for cut in 0..=tailed.len() {
+            let (head, rest) = tailed.split_at(cut);
+            if let Err(what) = assert_resume_matches(&job, &full, head, rest) {
+                panic!("{what} differs after a cut at line {cut}");
             }
         }
     }
 
-    // The deterministic every-cut test above pins a handful of shapes;
-    // this drives the same byte-identity law over *arbitrary* record
-    // streams (valid and malformed lines interleaved), an arbitrary
-    // crash point, and both dedup and map-path routes. This is the
-    // exactness guarantee the crash-safe daemon rests on: fusion is a
-    // monoid fold, so checkpoint-then-resume is indistinguishable from
-    // never having crashed.
+    // The deterministic every-cut test above pins one corpus; this
+    // drives the same byte-identity law over *arbitrary* record streams
+    // (valid, malformed and odd lines interleaved) and an arbitrary
+    // crash point. This is the exactness guarantee the crash-safe
+    // daemon rests on: fusion is a monoid fold, so checkpoint-then-
+    // resume is indistinguishable from never having crashed.
     mod props {
         use super::*;
         use proptest::prelude::*;
 
-        fn arb_line() -> impl Strategy<Value = String> {
+        fn arb_line() -> impl Strategy<Value = Vec<u8>> {
+            let odd: Vec<Vec<u8>> = ODD_LINES
+                .iter()
+                .map(|l| l.to_vec())
+                .chain(["not json", "[1, 2", "nulll", "\u{1}binary-ish\u{2}"].map(Vec::from))
+                .collect();
             prop_oneof![
                 // Mostly records; depth/width bounded so 64 cases stay fast.
-                4 => typefuse_json::testkit::arb_value_sized(3, 3)
-                    .prop_map(|v| typefuse_json::to_string(&v)),
-                // A sprinkling of the malformed lines a real tail sees.
-                1 => prop::sample::select(vec![
-                    "not json",
-                    "{\"a\": ",
-                    "[1, 2",
-                    "nulll",
-                    "\u{1}binary-ish\u{2}",
-                ])
-                .prop_map(str::to_string),
+                3 => typefuse_json::testkit::arb_value_sized(3, 3)
+                    .prop_map(|v| typefuse_json::to_string(&v).into_bytes()),
+                // A sprinkling of the odd lines a real tail sees.
+                1 => prop::sample::select(odd),
             ]
         }
 
@@ -904,85 +803,92 @@ mod tests {
             fn checkpoint_resume_is_byte_identical_at_any_crash_point(
                 texts in prop::collection::vec(arb_line(), 0..12),
                 cut in any::<prop::sample::Index>(),
-                dedup in any::<bool>(),
-                shape_route in any::<bool>(),
             ) {
-                let map_path = if shape_route {
-                    MapPath::Shape
-                } else {
-                    MapPath::Events
-                };
-                let policy = || ErrorPolicy::Skip {
+                let job = config(ErrorPolicy::Skip {
                     max_errors: Some(100),
-                };
-                let cut = cut.index(texts.len() + 1);
-                let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-
-                let mut full = state_on(dedup, map_path, policy());
-                full.fold_batch(&lines(&refs));
-
-                let mut head = state_on(dedup, map_path, policy());
-                head.fold_batch(&lines(&refs[..cut]));
-                head.sync_tail(17, b"{\"part", false);
-                let payload = head.checkpoint_value();
-                let mut resumed = SourceState::restore(
-                    "s",
-                    dedup,
-                    map_path,
-                    FuseConfig::default(),
-                    ParserOptions::default(),
-                    policy(),
-                    Recorder::enabled(),
-                    EventLog::new(64, Level::Debug),
-                    &payload,
-                )
-                .unwrap();
-                prop_assert_eq!(resumed.tail_offset, 17);
-                prop_assert_eq!(&resumed.tail_pending[..], &b"{\"part"[..]);
-                prop_assert_eq!(resumed.lines(), head.lines());
-                resumed.fold_batch(&lines(&refs[cut..]));
-
-                prop_assert_eq!(
-                    resumed.schema().to_string(),
-                    full.schema().to_string()
-                );
-                prop_assert_eq!(resumed.records(), full.records());
-                prop_assert_eq!(
-                    resumed.report.checkpoint_value(),
-                    full.report.checkpoint_value()
-                );
-                prop_assert_eq!(
-                    resumed.profile_report().to_json(),
-                    full.profile_report().to_json()
-                );
+                })
+                .build();
+                let refs: Vec<&[u8]> = texts.iter().map(Vec::as_slice).collect();
+                let tailed = tail(&ndjson(&refs));
+                let (head, rest) = tailed.split_at(cut.index(tailed.len() + 1));
+                let mut full = state_of(&job);
+                full.fold_batch(&tailed);
+                prop_assert_eq!(assert_resume_matches(&job, &full, head, rest), Ok(()));
             }
         }
     }
 
     #[test]
     fn checkpoint_restore_rejects_foreign_and_malformed_payloads() {
-        let mut s = state(false, ErrorPolicy::FailFast);
+        let job = config(ErrorPolicy::FailFast).build();
+        let mut s = state_of(&job);
         s.fold_batch(&lines(&[r#"{"a": 1}"#]));
         let payload = s.checkpoint_value();
-        let restore = |name: &str, payload: &Value| {
-            SourceState::restore(
-                name,
-                false,
-                MapPath::Events,
-                FuseConfig::default(),
-                ParserOptions::default(),
-                ErrorPolicy::FailFast,
-                Recorder::enabled(),
-                EventLog::new(64, Level::Debug),
-                payload,
-            )
-        };
-        match restore("other", &payload) {
+        match restore_named("other", &job, &payload) {
             Err(message) => assert!(message.contains("belongs to source"), "{message}"),
             Ok(_) => panic!("foreign checkpoint accepted"),
         }
-        assert!(restore("s", &Value::Object(Map::new())).is_err());
-        assert!(restore("s", &payload).is_ok());
+        assert!(restore(&job, &Value::Object(Map::new())).is_err());
+        assert!(restore(&job, &payload).is_ok());
+        let mut future = payload.clone();
+        if let Value::Object(m) = &mut future {
+            m.insert("v", Value::from(3i64));
+        }
+        assert!(restore(&job, &future).is_err());
+    }
+
+    /// The fixture's records, as folded by the daemon that wrote it.
+    const V1_LINES: [&str; 4] = [
+        r#"{"id": 1, "tags": ["a"]}"#,
+        "not json",
+        r#"{"id": 2, "name": "x", "tags": ["b", 3]}"#,
+        r#"{"id": 3.5, "nested": {"k": null}}"#,
+    ];
+
+    fn v1_payload(fixture: &str) -> Value {
+        typefuse_json::parse_value(fixture.trim()).unwrap()
+    }
+
+    #[test]
+    fn version_1_checkpoint_restores_byte_identically() {
+        // Written by a daemon that kept the schema and record count
+        // beside the profile (the default events route, dedup on).
+        let payload = v1_payload(include_str!("../tests/fixtures/checkpoint_v1_events.json"));
+        let job = config(ErrorPolicy::Skip {
+            max_errors: Some(10),
+        })
+        .build();
+        let mut resumed = restore_named("events", &job, &payload).unwrap();
+        let mut fresh = SourceState::new("events", &job, EventLog::new(64, Level::Debug));
+        fresh.fold_batch(&lines(&V1_LINES));
+        fresh.sync_tail(140, b"{\"id\": 4", false);
+        fresh.last_activity_ms = resumed.last_activity_ms;
+        assert_eq!(
+            typefuse_json::to_string(&resumed.checkpoint_value()),
+            typefuse_json::to_string(&fresh.checkpoint_value()),
+            "the v1 state re-checkpoints as the v2 state of the same fold"
+        );
+        let more = lines(&[r#"{"id": 4, "tags": []}"#, r#"{"name": null}"#]);
+        resumed.fold_batch(&more);
+        fresh.fold_batch(&more);
+        assert_eq!(resumed.schema(), fresh.schema());
+        assert_eq!(
+            resumed.profile_report().to_json(),
+            fresh.profile_report().to_json()
+        );
+        assert_eq!(resumed.report, fresh.report);
+    }
+
+    #[test]
+    fn version_1_shape_route_checkpoint_is_unusable() {
+        // The removed shape route left the profile empty beside a schema
+        // of 3 records: restoring it would serve a wrong profile.
+        let payload = v1_payload(include_str!("../tests/fixtures/checkpoint_v1_shape.json"));
+        let job = config(ErrorPolicy::skip()).build();
+        let error = restore_named("events", &job, &payload)
+            .err()
+            .expect("unusable");
+        assert!(error.contains("0 of 3 records"), "{error}");
     }
 
     #[test]
@@ -996,21 +902,11 @@ mod tests {
 
     #[test]
     fn failed_status_survives_the_checkpoint_round_trip() {
-        let mut s = state(false, ErrorPolicy::FailFast);
+        let job = config(ErrorPolicy::FailFast).build();
+        let mut s = state_of(&job);
         s.fold_batch(&lines(&[r#"{"a": 1}"#, "boom"]));
         assert!(matches!(s.status, SourceStatus::Failed(_)));
-        let resumed = SourceState::restore(
-            "s",
-            false,
-            MapPath::Events,
-            FuseConfig::default(),
-            ParserOptions::default(),
-            ErrorPolicy::FailFast,
-            Recorder::enabled(),
-            EventLog::new(64, Level::Debug),
-            &s.checkpoint_value(),
-        )
-        .unwrap();
+        let resumed = restore(&job, &s.checkpoint_value()).unwrap();
         assert_eq!(resumed.status, s.status, "a parked source stays parked");
         assert_eq!(resumed.schema().to_string(), "{a: Num}");
     }
@@ -1018,7 +914,7 @@ mod tests {
     #[test]
     fn compat_rejection_becomes_a_drift_alert_and_folding_continues() {
         let mut registry = typefuse_registry::MemoryRegistry::new();
-        let mut s = state(false, ErrorPolicy::FailFast);
+        let mut s = state(ErrorPolicy::FailFast);
         s.fold_batch(&lines(&[r#"{"id": 1, "name": "a"}"#]));
         s.publish(&mut registry, CompatMode::Backward);
         assert_eq!(s.version, Some(1));

@@ -14,10 +14,13 @@
 //!
 //! * **Sources** — growing NDJSON files/FIFOs ([`SourceInput::File`])
 //!   and TCP listeners ([`SourceInput::Tcp`]) are tailed with
-//!   [`typefuse_json::TailReader`]; each source folds new records into
-//!   a warm accumulator (the shape-dedup interner when dedup is on, a
-//!   plain [`typefuse_infer::Incremental`] otherwise) plus a running
-//!   per-path profile.
+//!   [`typefuse_json::TailReader`]; each source runs every new line
+//!   through the batch fold's own per-line step
+//!   ([`typefuse::fold::step`]) into one
+//!   [`typefuse_infer::ProfileAcc`], which holds the schema, the record
+//!   count and the per-path profile. Serve therefore answers exactly
+//!   what `typefuse infer --profile-json` would over the same bytes,
+//!   bad lines included.
 //! * **Snapshots** — whenever a batch of appends changes the schema,
 //!   the new version is published through a
 //!   [`typefuse_registry::RegistryStore`] (on-disk or in-memory), and

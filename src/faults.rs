@@ -310,23 +310,29 @@ fn same(a: &BadRecord, b: &BadRecord) -> bool {
     a.at == b.at && a.error == b.error && a.text == b.text
 }
 
-/// Write a report's bad records as a quarantine sidecar: one NDJSON
-/// object per record with `at`, `error`, and (when retained) `text`
-/// fields. Returns the number of records written.
+/// One quarantine sidecar line: an NDJSON object with `at`, `error`,
+/// and (when retained) `text` fields, newline included.
+pub fn quarantine_line(bad: &BadRecord) -> String {
+    let mut obj = Map::new();
+    obj.insert("at", Value::from(bad.at as i64));
+    obj.insert("error", Value::from(bad.error.to_string()));
+    if let Some(text) = &bad.text {
+        obj.insert("text", Value::from(text.clone()));
+    }
+    let mut line = typefuse_json::to_string(&Value::Object(obj));
+    line.push('\n');
+    line
+}
+
+/// Write a report's bad records as a quarantine sidecar, one
+/// [`quarantine_line`] per record. Returns the number of records
+/// written.
 pub fn write_quarantine(path: &Path, report: &ErrorReport) -> std::io::Result<u64> {
     let file = std::fs::File::create(path)?;
     let mut out = std::io::BufWriter::new(file);
     let mut written = 0u64;
     for bad in report.records() {
-        let mut obj = Map::new();
-        obj.insert("at", Value::from(bad.at as i64));
-        obj.insert("error", Value::from(bad.error.to_string()));
-        if let Some(text) = &bad.text {
-            obj.insert("text", Value::from(text.clone()));
-        }
-        let line = typefuse_json::to_string(&Value::Object(obj));
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
+        out.write_all(quarantine_line(bad).as_bytes())?;
         written += 1;
     }
     out.flush()?;

@@ -22,6 +22,13 @@
 //! Bad records are anchored at their 1-based input line, so output and
 //! errors are byte-identical for every worker count.
 //!
+//! Every line goes through one public [`step`]: UTF-8 and line-guard
+//! classification, trimming, the record fold, and the bad record. The
+//! batch workers call it per slab line; `typefuse serve` calls it per
+//! tailed line into one [`ProfileAcc`] per source ([`profile_acc`],
+//! [`absorb_profile`]), so a daemon's fold is the batch fold applied
+//! one append at a time.
+//!
 //! [`SchemaJob::run`]: crate::pipeline::SchemaJob::run
 //! [`SchemaJob::run_profiled`]: crate::pipeline::SchemaJob::run_profiled
 
@@ -116,6 +123,99 @@ impl Slab {
 
     fn bytes(&self) -> usize {
         self.text.len() + self.lines.len() * std::mem::size_of::<(usize, bool)>()
+    }
+}
+
+/// What [`step`] made of one input line.
+#[derive(Debug)]
+pub enum Step {
+    /// Whitespace only: not a record.
+    Blank,
+    /// A record, folded into the accumulator.
+    Folded,
+    /// A bad record, anchored at its input line.
+    Bad(BadRecord),
+}
+
+/// The per-line step every fold runs, batch workers and serve sources
+/// alike, so both judge a line the same way.
+///
+/// `raw` is the line's content without its newline and `truncated`
+/// says whether the job's line-size guard cut it. An oversized or
+/// non-UTF-8 line is a bad record, not a dead stream; a blank one is
+/// skipped. Any other line is trimmed and handed to `absorb`, whose
+/// failure is re-anchored at input line `line`. A bad record keeps its
+/// text when the job's error policy does.
+#[inline]
+pub fn step(
+    job: &SchemaJob,
+    line: u64,
+    raw: &[u8],
+    truncated: bool,
+    absorb: impl FnOnce(&str) -> typefuse_json::Result<()>,
+) -> Step {
+    let text = match std::str::from_utf8(raw) {
+        Ok(text) if !truncated => match text.trim() {
+            "" => return Step::Blank,
+            text => Some(text),
+        },
+        _ => None,
+    };
+    if job.chaos_panic_at.map(u64::from) == Some(line) {
+        panic!("injected chaos panic at line {line}");
+    }
+    let error = match text {
+        Some(text) => match absorb(text) {
+            Ok(()) => return Step::Folded,
+            Err(e) => {
+                let mut pos = e.span().start;
+                pos.line = line as u32;
+                typefuse_json::Error::at(e.kind().clone(), pos)
+            }
+        },
+        None => {
+            let kind = if truncated {
+                ErrorKind::RecordTooLarge(job.max_line_bytes.unwrap_or(usize::MAX))
+            } else {
+                ErrorKind::InvalidUtf8
+            };
+            let pos = Position {
+                offset: 0,
+                line: line as u32,
+                column: 1,
+            };
+            typefuse_json::Error::at(kind, pos)
+        }
+    };
+    Step::Bad(BadRecord {
+        at: line,
+        error,
+        text: job.error_policy.keeps_text().then(|| match text {
+            Some(text) => text.to_string(),
+            None => String::from_utf8_lossy(raw).into_owned(),
+        }),
+    })
+}
+
+/// An empty profile accumulator under the job's fuse config and parser
+/// options.
+pub fn profile_acc(job: &SchemaJob) -> ProfileAcc {
+    ProfileAcc::with_config(job.fuse_config).with_parser_options(job.parser_options.clone())
+}
+
+/// Fold one record's text, read at input line `line`, into a profile
+/// through the job's map path; returns the record's type. Profiling
+/// observes every value, so the shape route cannot shortcut it: it
+/// folds events like the default route.
+pub fn absorb_profile(
+    job: &SchemaJob,
+    acc: &mut ProfileAcc,
+    line: u64,
+    text: &str,
+) -> typefuse_json::Result<Type> {
+    match job.map_path {
+        MapPath::Values => acc.try_absorb_line_as_value(line, text),
+        MapPath::Events | MapPath::Shape => acc.try_absorb_line(line, text),
     }
 }
 
@@ -371,10 +471,7 @@ impl Fold {
     fn new(shared: &Shared<'_>) -> Fold {
         let job = shared.job;
         let acc = match shared.target {
-            Target::Profile => Acc::Profile(
-                ProfileAcc::with_config(job.fuse_config)
-                    .with_parser_options(job.parser_options.clone()),
-            ),
+            Target::Profile => Acc::Profile(profile_acc(job)),
             Target::Schema if job.dedup == DedupMode::On => Acc::Dedup(DedupAcc::new()),
             Target::Schema => Acc::Plain(Type::Bottom),
         };
@@ -392,57 +489,20 @@ impl Fold {
     /// Fold every record of one slab.
     fn slab(&mut self, shared: &Shared<'_>, slab: &Slab) {
         let job = shared.job;
-        let keeps_text = job.error_policy.keeps_text();
         let (mut good, mut bad) = (0u64, 0u64);
         let mut start = 0;
         for (i, &(end, truncated)) in slab.lines.iter().enumerate() {
             let line = slab.first_line + i as u64;
             let raw = &slab.text[start..end];
             start = end;
-            // Oversized and non-UTF-8 lines are bad records, not a dead
-            // stream; blank lines are not records at all.
-            let text = match std::str::from_utf8(raw) {
-                Ok(text) if !truncated => match text.trim() {
-                    "" => continue,
-                    text => Some(text),
-                },
-                _ => None,
-            };
-            if job.chaos_panic_at.map(u64::from) == Some(line) {
-                panic!("injected chaos panic at line {line}");
-            }
-            let outcome = match text {
-                Some(text) => self.record(shared, line, text).map_err(|e| {
-                    let mut pos = e.span().start;
-                    pos.line = line as u32;
-                    typefuse_json::Error::at(e.kind().clone(), pos)
-                }),
-                None => {
-                    let kind = if truncated {
-                        ErrorKind::RecordTooLarge(job.max_line_bytes.unwrap_or(usize::MAX))
-                    } else {
-                        ErrorKind::InvalidUtf8
-                    };
-                    let pos = Position {
-                        offset: 0,
-                        line: line as u32,
-                        column: 1,
-                    };
-                    Err(typefuse_json::Error::at(kind, pos))
-                }
-            };
-            match outcome {
-                Ok(()) => good += 1,
-                Err(error) => {
+            match step(job, line, raw, truncated, |text| {
+                self.record(shared, line, text)
+            }) {
+                Step::Blank => {}
+                Step::Folded => good += 1,
+                Step::Bad(record) => {
                     bad += 1;
-                    self.errors.note(BadRecord {
-                        at: line,
-                        error,
-                        text: keeps_text.then(|| match text {
-                            Some(text) => text.to_string(),
-                            None => String::from_utf8_lossy(raw).into_owned(),
-                        }),
-                    });
+                    self.errors.note(record);
                 }
             }
         }
@@ -459,14 +519,8 @@ impl Fold {
         } = self;
         let owned;
         let ty: &Type = match (acc, job.map_path) {
-            (Acc::Profile(profile), MapPath::Values) => {
-                owned = profile.try_absorb_line_as_value(line, text)?;
-                &owned
-            }
-            // Profiling observes every value, so the shape route cannot
-            // shortcut it: it folds events like the default route.
             (Acc::Profile(profile), _) => {
-                owned = profile.try_absorb_line(line, text)?;
+                owned = absorb_profile(job, profile, line, text)?;
                 &owned
             }
             (_, MapPath::Shape) => cache

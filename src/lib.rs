@@ -40,7 +40,7 @@
 pub mod config;
 pub mod error;
 pub mod faults;
-mod fold;
+pub mod fold;
 pub mod pipeline;
 
 pub use config::JobConfig;
