@@ -7,8 +7,9 @@
 //! union branch, which line's missing key demoted the field to
 //! optional), value-shape histograms, and a top-k presence table for
 //! orientation. Line numbers are exact and identical for any
-//! `--workers`/`--partitions` setting — provenance merges by minimum,
-//! so parallelism cannot change the answer.
+//! `--workers` setting — provenance merges by minimum, so parallelism
+//! cannot change the answer. Malformed input exits 3 and unreadable
+//! input 4, as in `infer`.
 
 use crate::args::ArgStream;
 use crate::{CliError, CliResult};
@@ -27,7 +28,6 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     })?;
     let dataset = args.option("--dataset")?;
     let top: usize = args.parsed_option("--top")?.unwrap_or(10);
-    let partitions: Option<usize> = args.parsed_option("--partitions")?;
     let workers: Option<usize> = args.parsed_option("--workers")?;
     let map_path = args
         .option("--map-path")?
@@ -44,14 +44,14 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     if let Some(w) = workers {
         config = config.workers(w);
     }
-    if let Some(p) = partitions {
-        config = config.partitions(p);
-    }
     if let Some(path) = map_path {
         config = config.map_path(path);
     }
     let reader = crate::cmd_infer::open_input(dataset.as_deref())?;
-    let profiled = config.build().run_profiled(Source::ndjson(reader))?;
+    let profiled = config
+        .build()
+        .run_profiled(Source::ndjson(reader))
+        .map_err(crate::ingest_error)?;
     let profile = &profiled.profile;
 
     let profile_entry = profile.get(&rendered).ok_or_else(|| {

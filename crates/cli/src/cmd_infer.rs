@@ -2,6 +2,8 @@
 //!
 //! File and stdin input, plain and profiled runs all take the library's
 //! one bounded-memory fold, so every flag composes with every other.
+//! The other NDJSON commands open their input with [`open_input`] and
+//! take the same fold.
 
 use crate::args::ArgStream;
 use crate::job_args::JobFlags;
@@ -9,9 +11,8 @@ use crate::{CliError, CliResult};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use typefuse::pipeline::{Source, TypeStats};
-use typefuse::{BadRecord, ErrorPolicy, ErrorReport, IoSite, JobConfig, RetryPolicy};
+use typefuse::{ErrorPolicy, ErrorReport, IoSite, JobConfig};
 use typefuse_infer::{ArrayFusion, FuseConfig};
-use typefuse_json::{ErrorKind, NdjsonReader, ParserOptions, Value};
 use typefuse_obs::Recorder;
 use typefuse_types::export::to_json_schema_document;
 use typefuse_types::Type;
@@ -140,7 +141,7 @@ impl Summary {
 }
 
 /// Tell the operator on stderr what the error policy dropped.
-fn report_skipped(report: &ErrorReport, policy: &ErrorPolicy) {
+pub(crate) fn report_skipped(report: &ErrorReport, policy: &ErrorPolicy) {
     if report.is_empty() {
         return;
     }
@@ -267,67 +268,4 @@ pub(crate) fn infer_schema(input: Option<&str>) -> Result<Type, CliError> {
             CliError::with_code(format!("{name}: {}", mapped.message), mapped.code)
         })?;
     Ok(result.schema)
-}
-
-/// Read NDJSON from a file path or stdin (`-` or absent), counting
-/// bytes/lines/records into `recorder` (free when disabled).
-pub(crate) fn read_values(
-    input: Option<&str>,
-    recorder: &Recorder,
-) -> Result<Vec<Value>, CliError> {
-    NdjsonReader::new(open_input(input)?)
-        .with_recorder(recorder.clone())
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| CliError::runtime(format!("parse error: {e}")))
-}
-
-/// [`read_values`] with parser options and an error policy: bad records
-/// are dropped/quarantined per `policy` (with the documented exit codes
-/// on failure) and reported alongside the clean values.
-pub(crate) fn read_values_with(
-    input: Option<&str>,
-    parser: &ParserOptions,
-    policy: &ErrorPolicy,
-    max_line_bytes: Option<usize>,
-    recorder: &Recorder,
-) -> Result<(Vec<Value>, ErrorReport), CliError> {
-    let mut ndjson = NdjsonReader::with_options(open_input(input)?, parser.clone())
-        .with_recorder(recorder.clone())
-        .with_retry(RetryPolicy::default());
-    if let Some(cap) = max_line_bytes {
-        ndjson = ndjson.with_max_line_bytes(cap);
-    }
-    let keeps_text = policy.keeps_text();
-    let mut values = Vec::new();
-    let mut report = ErrorReport::new();
-    // Not a `for` loop: the body needs `ndjson.last_line()` while the
-    // iterator is not borrowed.
-    #[allow(clippy::while_let_on_iterator)]
-    while let Some(item) = ndjson.next() {
-        match item {
-            Ok(v) => values.push(v),
-            Err(e) if matches!(e.kind(), ErrorKind::Io(_)) => {
-                return Err(crate::ingest_error(typefuse::Error::io_at(
-                    std::io::Error::other(e.to_string()),
-                    IoSite::line(e.span().start.line),
-                )));
-            }
-            Err(e) => {
-                if policy.is_fail_fast() {
-                    return Err(crate::ingest_error(typefuse::Error::Parse(e)));
-                }
-                let text =
-                    keeps_text.then(|| String::from_utf8_lossy(ndjson.last_line()).into_owned());
-                report.note(BadRecord {
-                    at: e.span().start.line as u64,
-                    error: e,
-                    text,
-                });
-            }
-        }
-    }
-    policy
-        .enforce(&report, recorder)
-        .map_err(crate::ingest_error)?;
-    Ok((values, report))
 }

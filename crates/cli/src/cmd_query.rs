@@ -1,10 +1,18 @@
 //! `typefuse query` — run a schema-checked pipeline over NDJSON data.
+//!
+//! Records take the same fold as `infer` (fail-fast, so malformed input
+//! exits 3 and unreadable input 4). Evaluation needs every row, so the
+//! rows stay in memory, in input order; each record's type is fused in
+//! the same pass and checks the script when no `--schema` is given.
 
 use crate::args::ArgStream;
 use crate::{CliError, CliResult};
+use typefuse::fold::Accumulator;
 use typefuse::JobConfig;
+use typefuse_infer::{infer_type, FuseConfig, Fuser};
+use typefuse_json::{Parser, Value};
 use typefuse_query::Pipeline;
-use typefuse_types::parse_type;
+use typefuse_types::{parse_type, Type};
 
 pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let input = args.next_positional();
@@ -22,10 +30,16 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
 
     // With --check-only and an explicit schema no data is needed at all —
     // do not touch the input (reading stdin would block).
-    let values = if check_only && schema_path.is_some() {
-        Vec::new()
+    let rows = if check_only && schema_path.is_some() {
+        Rows::default()
     } else {
-        crate::cmd_infer::read_values(input.as_deref(), &typefuse_obs::Recorder::disabled())?
+        let job = JobConfig::new().build();
+        let mut reader = crate::cmd_infer::open_input(input.as_deref())?;
+        let mut rows = typefuse::fold::run(&job, &mut reader, Rows::default)
+            .map_err(crate::ingest_error)?
+            .acc;
+        rows.rows.sort_unstable_by_key(|&(line, _)| line);
+        rows
     };
 
     // Schema: explicit file, or inferred from the data itself.
@@ -36,13 +50,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
             parse_type(text.trim())
                 .map_err(|e| CliError::runtime(format!("invalid schema: {e}")))?
         }
-        None => {
-            JobConfig::new()
-                .without_type_stats()
-                .build()
-                .run_values(values.clone())
-                .schema
-        }
+        None => rows.schema,
     };
 
     let out_schema = pipeline
@@ -53,6 +61,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         return Ok(());
     }
 
+    let values: Vec<Value> = rows.rows.into_iter().map(|(_, value)| value).collect();
     let out = pipeline
         .eval(&values)
         .map_err(|e| CliError::runtime(format!("evaluation failed: {e}")))?;
@@ -61,4 +70,34 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     }
     eprintln!("{} row(s)", out.len());
     Ok(())
+}
+
+/// One worker's rows with their input lines, and the schema their
+/// types fuse to.
+struct Rows {
+    rows: Vec<(u64, Value)>,
+    schema: Type,
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows {
+            rows: Vec::new(),
+            schema: Type::Bottom,
+        }
+    }
+}
+
+impl Accumulator for Rows {
+    fn absorb(&mut self, line: u64, text: &str) -> typefuse_json::Result<()> {
+        let value = Parser::new(text.as_bytes()).parse_complete()?;
+        FuseConfig::default().absorb_type(&mut self.schema, &infer_type(&value));
+        self.rows.push((line, value));
+        Ok(())
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.rows.extend(other.rows);
+        Fuser::merge(&FuseConfig::default(), &mut self.schema, &other.schema);
+    }
 }

@@ -17,7 +17,6 @@ use typefuse_obs::Recorder;
 /// `--max-line-bytes`) for subcommands without an execution matrix.
 pub(crate) struct JobFlags {
     pub(crate) workers: Option<usize>,
-    pub(crate) partitions: Option<usize>,
     pub(crate) map_path: Option<MapPath>,
     pub(crate) dedup: DedupMode,
     pub(crate) policy: ErrorPolicy,
@@ -26,12 +25,11 @@ pub(crate) struct JobFlags {
 }
 
 impl JobFlags {
-    /// Parse the full flag set: `--workers`, `--partitions`,
-    /// `--map-path`, `--dedup`, plus everything in
+    /// Parse the full flag set: `--workers`, `--map-path`, `--dedup`,
+    /// plus everything in
     /// [`JobFlags::parse_ingest`].
     pub(crate) fn parse(args: &mut ArgStream) -> Result<JobFlags, CliError> {
         let workers = args.parsed_option("--workers")?;
-        let partitions = args.parsed_option("--partitions")?;
         let map_path = args
             .option("--map-path")?
             .as_deref()
@@ -49,7 +47,6 @@ impl JobFlags {
         };
         let mut flags = JobFlags::parse_ingest(args)?;
         flags.workers = workers;
-        flags.partitions = partitions;
         flags.map_path = map_path;
         flags.dedup = dedup;
         Ok(flags)
@@ -65,7 +62,6 @@ impl JobFlags {
         let policy = resolve_policy(on_error.as_deref(), quarantine.as_deref(), max_errors)?;
         Ok(JobFlags {
             workers: None,
-            partitions: None,
             map_path: None,
             dedup: DedupMode::Auto,
             policy,
@@ -96,9 +92,6 @@ impl JobFlags {
         }
         if let Some(w) = self.workers {
             config = config.workers(w);
-        }
-        if let Some(p) = self.partitions {
-            config = config.partitions(p);
         }
         if let Some(path) = self.map_path {
             config = config.map_path(path);
@@ -182,8 +175,6 @@ mod tests {
         let mut args = ArgStream::from_vec(&[
             "--workers",
             "3",
-            "--partitions",
-            "8",
             "--map-path",
             "events",
             "--dedup",
@@ -200,7 +191,6 @@ mod tests {
         let flags = JobFlags::parse(&mut args).unwrap();
         args.finish().unwrap();
         assert_eq!(flags.workers, Some(3));
-        assert_eq!(flags.partitions, Some(8));
         assert_eq!(flags.map_path, Some(MapPath::Events));
         assert_eq!(flags.dedup, DedupMode::On);
         assert!(matches!(

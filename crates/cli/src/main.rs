@@ -98,7 +98,6 @@ COMMANDS:
                          a few MB of input per worker plus the schema,
                          whatever the input size; every flag composes
         --workers N        worker threads (default: all cores)
-        --partitions N     in-memory partitions; no effect on text input
         --format F         text | pretty | json-schema  (default: pretty)
         --stats            print type statistics (Tables 2-5 columns)
         --map-path P       events | value | shape: fold parser events
@@ -141,24 +140,29 @@ COMMANDS:
         --dataset F        NDJSON input (default: stdin)
         --top N            also list the top-N paths by presence (default 10)
         --workers N        worker threads (provenance is thread-invariant)
-        --partitions N     dataset partitions
         --map-path P       events | value
+        malformed input exits 3, unreadable input 4 (as in infer)
 
     generate             emit a synthetic dataset as NDJSON on stdout
         --profile P        github | twitter | wikidata | nytimes (required)
         --records N        number of records (default: 1000)
         --seed S           generator seed (default: 42)
 
-    stats [FILE|-]       dataset statistics (records, bytes, depth)
+    stats [FILE|-]       dataset statistics (records, bytes, depth), in
+                         infer's bounded-memory pass; input errors exit
+                         3/4/5 as in infer
         --dedup            also count distinct type shapes (redundancy)
         --max-depth N      parser recursion limit (default: 512)
         --metrics-json F   write read/measure metrics as JSON to F
         plus the shared ingest flags: --on-error, --quarantine,
         --max-errors, --max-line-bytes (see infer)
 
-    check [FILE|-]       validate records against a schema
+    check [FILE|-]       validate records against a schema, in infer's
+                         bounded-memory pass; exit 1 when a record does
+                         not conform (input errors exit 3/4/5 as in infer)
         --schema FILE      schema in typefuse notation (required)
-        --max-failures N   stop reporting after N failures (default: 10)
+        --max-failures N   report the first N failing input lines
+                           (default: 10)
         --max-depth N      parser recursion limit (default: 512)
         --metrics-json F   write conformance metrics as JSON to F
         plus the shared ingest flags: --on-error, --quarantine,
@@ -169,7 +173,9 @@ COMMANDS:
                          exit 3/4 as in infer)
         --schemas          treat OLD/NEW as schema files instead of data
 
-    query [FILE|-]       run a schema-checked pipeline over NDJSON data
+    query [FILE|-]       run a schema-checked pipeline over NDJSON data;
+                         exit 1 on a type or evaluation error, 3 on
+                         malformed input, 4 on unreadable input
         --script FILE      pipeline script (required; see typefuse-query)
         --schema FILE      check against this schema instead of inferring
         --check-only       type-check without evaluating

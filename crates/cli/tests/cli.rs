@@ -186,7 +186,11 @@ fn check_rejects_nonconforming_data() {
         Some("{\"a\":1}\n{\"a\":\"nope\"}\n"),
     );
     assert_eq!(out.status.code(), Some(1));
-    assert!(stderr(&out).contains("record 2"));
+    assert!(
+        stderr(&out).contains("line 2: not admitted"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]
@@ -286,6 +290,19 @@ fn removed_flags_are_usage_errors() {
         let out = typefuse(&["infer", "-", flag], Some("{}\n"));
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(stderr(&out).contains(flag), "{flag}: {}", stderr(&out));
+    }
+    // Text input is cut into slabs, not partitions.
+    for args in [
+        vec!["infer", "-", "--partitions", "3"],
+        vec!["explain", ".a", "--partitions", "3"],
+    ] {
+        let out = typefuse(&args, Some("{\"a\":1}\n"));
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains("--partitions"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
     }
     // Serve folds one profile per source, whatever the job's Reduce
     // and Map routes: it takes neither flag.
@@ -632,7 +649,7 @@ fn explain_reports_exact_provenance_lines() {
     let mut expected = None;
     for workers in ["1", "4"] {
         let out = typefuse(
-            &["explain", ".a", "--workers", workers, "--partitions", "3"],
+            &["explain", ".a", "--workers", workers],
             Some(PROVENANCE_DATA),
         );
         assert!(out.status.success(), "stderr: {}", stderr(&out));
@@ -721,8 +738,6 @@ fn profile_json_is_identical_across_workers_and_map_paths() {
                 "text",
                 "--workers",
                 workers,
-                "--partitions",
-                "3",
                 "--map-path",
                 map_path,
                 "--profile-json",
@@ -1010,6 +1025,153 @@ fn diff_input_errors_use_ingest_exit_codes() {
     assert_eq!(out.status.code(), Some(4), "unreadable: {}", stderr(&out));
     let out = typefuse(&["diff", good, good], None);
     assert_eq!(out.status.code(), Some(0), "no drift: {}", stderr(&out));
+}
+
+#[test]
+fn explain_and_query_input_errors_use_ingest_exit_codes() {
+    let dir = std::env::temp_dir().join("typefuse-cli-test-explain-query-errors");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = dir.join("bad.ndjson");
+    let script = dir.join("q.tfq");
+    std::fs::write(&bad, "{\"a\":1}\n{oops\n").unwrap();
+    std::fs::write(&script, "project $.a\n").unwrap();
+    let (bad, script) = (bad.to_str().unwrap(), script.to_str().unwrap());
+    let missing = "/nonexistent/typefuse-input.ndjson";
+
+    for (input, code) in [(bad, 3), (missing, 4)] {
+        let out = typefuse(&["explain", ".a", "--dataset", input], None);
+        assert_eq!(out.status.code(), Some(code), "explain: {}", stderr(&out));
+        let out = typefuse(&["query", input, "--script", script], None);
+        assert_eq!(out.status.code(), Some(code), "query: {}", stderr(&out));
+        if code == 3 {
+            assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
+        }
+    }
+}
+
+/// One line of every kind the fold judges, between clean records (the
+/// corpus of the library and serve fold tests): U+00A0 padding,
+/// non-UTF-8, oversized (plain and CRLF), malformed (plain, CRLF and
+/// padded), blank and CRLF. Folded under `--max-line-bytes 40`.
+const ODD_LINES: [&[u8]; 13] = [
+    b"{\"a\":1}",
+    b"\xc2\xa0{\"b\":null}\xc2\xa0",
+    b"{\"bin\":\"\xff\"}",
+    b"{\"long\":\"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx\"}",
+    b"{bad",
+    b"",
+    b"  \t",
+    b"{\"a\":\"s\",\"c\":[1,2]}\r",
+    b"\r",
+    b"{\"crlf\":\"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx\"}\r",
+    b"{nope}\r",
+    b"\xc2\xa0{oops",
+    b"{\"a\":2,\"c\":[]}",
+];
+
+#[test]
+fn odd_lines_are_judged_alike_by_every_command() {
+    let dir = std::env::temp_dir().join(format!(
+        "typefuse-cli-test-odd-lines-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str, lines: &[&[u8]]| {
+        let path = dir.join(name);
+        let bytes: Vec<u8> = lines
+            .iter()
+            .flat_map(|l| l.iter().chain(b"\n"))
+            .copied()
+            .collect();
+        std::fs::write(&path, bytes).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let script = file("q.tfq", &[b"project $.a"]);
+    let schema = file("any.schema", &[b"{a: Num}"]);
+    let guard = ["--max-line-bytes", "40"];
+
+    // Fail-fast: every command stops at the bad line with the same
+    // `line L, column C`. `query` and `explain` take no line guard, so
+    // they only meet the lines that are bad without one.
+    for bad in [2, 3, 4, 9, 10, 11] {
+        let input = file(
+            "fail.ndjson",
+            &[ODD_LINES[0], ODD_LINES[bad], ODD_LINES[12]],
+        );
+        let infer = typefuse(&[&["infer", &input][..], &guard].concat(), None);
+        assert_eq!(infer.status.code(), Some(3), "{}", stderr(&infer));
+        let err = stderr(&infer);
+        let site = &err[err.find("line 2, column ").expect("infer names the line")..];
+        let site = site.lines().next().unwrap();
+        let mut commands = vec![
+            [&["check", &input, "--schema", &schema][..], &guard].concat(),
+            [&["stats", &input][..], &guard].concat(),
+        ];
+        if ODD_LINES[bad].len() <= 40 {
+            commands.push(vec!["query", &input, "--script", &script]);
+            commands.push(vec!["explain", ".a", "--dataset", &input]);
+        }
+        for args in commands {
+            let out = typefuse(&args, None);
+            assert_eq!(out.status.code(), Some(3), "{args:?}: {}", stderr(&out));
+            assert!(
+                stderr(&out).contains(site),
+                "{args:?}: {} vs {site}",
+                stderr(&out)
+            );
+        }
+    }
+
+    // Skip and quarantine: `check` admits every record `infer` folded
+    // under the schema it inferred, `stats` counts them, and both
+    // quarantine the same bad lines byte for byte.
+    let input = file("odd.ndjson", &ODD_LINES);
+    let skip = ["--on-error", "skip"];
+    let infer = typefuse(
+        &[
+            &["infer", &input, "--format", "text", "--stats"][..],
+            &guard,
+            &skip,
+        ]
+        .concat(),
+        None,
+    );
+    assert!(infer.status.success(), "{}", stderr(&infer));
+    assert!(
+        stderr(&infer).contains("records           4"),
+        "{}",
+        stderr(&infer)
+    );
+    let inferred = dir.join("inferred.schema");
+    std::fs::write(&inferred, stdout(&infer)).unwrap();
+    let inferred = inferred.to_str().unwrap();
+    let check = typefuse(
+        &[&["check", &input, "--schema", inferred][..], &guard, &skip].concat(),
+        None,
+    );
+    assert!(check.status.success(), "{}", stderr(&check));
+    assert_eq!(stdout(&check), "4 of 4 records conform\n");
+    let stats = typefuse(&[&["stats", &input][..], &guard, &skip].concat(), None);
+    assert!(stats.status.success(), "{}", stderr(&stats));
+    assert!(
+        stdout(&stats).starts_with("records     4\n"),
+        "{}",
+        stdout(&stats)
+    );
+
+    let sidecar = |args: &[&str]| {
+        let sink = dir.join("sidecar.ndjson");
+        let _ = std::fs::remove_file(&sink);
+        let quarantine = ["--quarantine", sink.to_str().unwrap()];
+        let out = typefuse(&[args, &guard, &quarantine].concat(), None);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        std::fs::read(&sink).expect("sidecar written")
+    };
+    let expected = sidecar(&["infer", &input]);
+    assert_eq!(String::from_utf8_lossy(&expected).lines().count(), 6);
+    assert_eq!(sidecar(&["check", &input, "--schema", inferred]), expected);
+    assert_eq!(sidecar(&["stats", &input]), expected);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

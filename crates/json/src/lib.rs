@@ -12,8 +12,8 @@
 //! * a byte-level, span-carrying recursive-descent [parser](parse) for
 //!   RFC 8259 JSON,
 //! * a compact and a pretty [serializer](ser), and
-//! * an [NDJSON](ndjson) (newline-delimited JSON) reader, the on-disk
-//!   layout used for all the paper's datasets.
+//! * an [NDJSON](ndjson) (newline-delimited JSON) line reader and
+//!   writer, for the on-disk layout of all the paper's datasets.
 //!
 //! The parser is deliberately strict: duplicate keys within one object are
 //! rejected, because the paper's data model (Section 4) only admits
@@ -48,7 +48,7 @@ pub mod value;
 
 pub use envelope::{parse_envelope, Envelope};
 pub use error::{Error, ErrorKind, Position, Result, Span};
-pub use ndjson::{NdjsonReader, RetryPolicy};
+pub use ndjson::RetryPolicy;
 pub use number::Number;
 pub use parse::{parse_value, Parser, ParserOptions};
 pub use scan::{scan, ScanIndex};

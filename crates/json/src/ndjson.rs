@@ -1,9 +1,10 @@
 //! Newline-delimited JSON (NDJSON) streaming.
 //!
 //! All four datasets in the paper's evaluation (GitHub, Twitter, Wikidata,
-//! NYTimes) are stored as one JSON object per line. This module reads such
-//! streams without materialising the whole file, using a reusable line
-//! buffer (one allocation per *record tree*, not per line read).
+//! NYTimes) are stored as one JSON object per line. This module holds the
+//! line-level pieces every NDJSON reader shares: the bounded line reader
+//! that the fold in the `typefuse` crate cuts its slabs with, and the
+//! NDJSON writer.
 //!
 //! Because the paper's inputs are remote multi-gigabyte dumps, the line
 //! reader is also where ingestion fault tolerance starts:
@@ -13,11 +14,9 @@
 //!   [`std::io::ErrorKind::WouldBlock`]), counted as `ingest.retries`;
 //! * [`read_line_bounded`] — a `fill_buf`-level line reader with an
 //!   optional `max_line_bytes` guard, so one pathological line degrades
-//!   into a [`ErrorKind::RecordTooLarge`] record instead of ballooning
+//!   into a [`RecordTooLarge`](crate::ErrorKind::RecordTooLarge) record instead of ballooning
 //!   memory.
 
-use crate::error::{Error, ErrorKind, Position, Result};
-use crate::parse::{Parser, ParserOptions};
 use crate::value::Value;
 use std::io::BufRead;
 use std::time::Duration;
@@ -158,190 +157,6 @@ pub fn read_line_bounded<R: BufRead + ?Sized>(
     }
 }
 
-/// Trim ASCII whitespace from both ends of a byte slice.
-/// (A local stand-in for `slice::trim_ascii`, which is newer than this
-/// workspace's MSRV.)
-pub fn trim_ascii_bytes(mut bytes: &[u8]) -> &[u8] {
-    while let [first, rest @ ..] = bytes {
-        if first.is_ascii_whitespace() {
-            bytes = rest;
-        } else {
-            break;
-        }
-    }
-    while let [rest @ .., last] = bytes {
-        if last.is_ascii_whitespace() {
-            bytes = rest;
-        } else {
-            break;
-        }
-    }
-    bytes
-}
-
-/// A streaming reader that yields one [`Value`] per non-empty input line.
-///
-/// Blank lines are skipped. Errors carry the 1-based line number of the
-/// offending record in their position so bad records can be located in
-/// multi-gigabyte dumps. Parse errors (including
-/// [`ErrorKind::RecordTooLarge`] from the [`with_max_line_bytes`] guard)
-/// do not stop iteration; I/O errors do, after exhausting the configured
-/// [`RetryPolicy`].
-///
-/// [`with_max_line_bytes`]: NdjsonReader::with_max_line_bytes
-///
-/// ```
-/// use typefuse_json::NdjsonReader;
-///
-/// let data = "{\"a\":1}\n\n{\"a\":2}\n";
-/// let values: Vec<_> = NdjsonReader::new(data.as_bytes())
-///     .collect::<Result<Vec<_>, _>>()
-///     .unwrap();
-/// assert_eq!(values.len(), 2);
-/// ```
-pub struct NdjsonReader<R> {
-    reader: R,
-    line: Vec<u8>,
-    line_no: u32,
-    options: ParserOptions,
-    retry: RetryPolicy,
-    max_line_bytes: Option<usize>,
-    /// Stop permanently after an I/O error.
-    poisoned: bool,
-    recorder: Recorder,
-}
-
-impl<R: BufRead> NdjsonReader<R> {
-    /// Wrap a buffered reader with default parser options.
-    pub fn new(reader: R) -> Self {
-        Self::with_options(reader, ParserOptions::default())
-    }
-
-    /// Wrap a buffered reader with explicit parser options.
-    pub fn with_options(reader: R, options: ParserOptions) -> Self {
-        NdjsonReader {
-            reader,
-            line: Vec::new(),
-            line_no: 0,
-            options,
-            retry: RetryPolicy::none(),
-            max_line_bytes: None,
-            poisoned: false,
-            recorder: Recorder::disabled(),
-        }
-    }
-
-    /// Attach an observability recorder. While iterating, the reader
-    /// counts `json.bytes` (raw bytes consumed, including newlines and
-    /// blank lines), `json.lines` (input lines, including blank ones),
-    /// `json.records` (successfully parsed records),
-    /// `json.parse_errors` and `ingest.retries`. A disabled recorder
-    /// costs nothing.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Retry transient I/O errors per `policy` before surfacing them.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Cap the buffered content of a single line at `cap` bytes. An
-    /// oversized line yields an [`ErrorKind::RecordTooLarge`] parse
-    /// error (iteration continues) instead of growing the buffer
-    /// without bound.
-    pub fn with_max_line_bytes(mut self, cap: usize) -> Self {
-        self.max_line_bytes = Some(cap);
-        self
-    }
-
-    /// The number of input lines consumed so far (including blank ones).
-    pub fn lines_read(&self) -> u32 {
-        self.line_no
-    }
-
-    /// The raw content bytes of the most recently read line (without its
-    /// newline, capped by the line-size guard). Lets callers quarantine
-    /// the offending text after a parse error.
-    pub fn last_line(&self) -> &[u8] {
-        &self.line
-    }
-
-    fn read_record(&mut self) -> Option<Result<Value>> {
-        loop {
-            self.line.clear();
-            let raw = match read_line_bounded(
-                &mut self.reader,
-                &mut self.line,
-                self.max_line_bytes,
-                self.retry,
-                &self.recorder,
-            ) {
-                Ok(raw) if raw.consumed == 0 => return None,
-                Ok(raw) => raw,
-                Err(e) => {
-                    self.poisoned = true;
-                    return Some(Err(Error::at(
-                        ErrorKind::Io(e.to_string()),
-                        Position {
-                            offset: 0,
-                            line: self.line_no + 1,
-                            column: 1,
-                        },
-                    )));
-                }
-            };
-            self.recorder.add("json.bytes", raw.consumed as u64);
-            self.line_no += 1;
-            self.recorder.add("json.lines", 1);
-            if raw.truncated {
-                self.recorder.add("json.parse_errors", 1);
-                let cap = self.max_line_bytes.unwrap_or(usize::MAX);
-                return Some(Err(Error::at(
-                    ErrorKind::RecordTooLarge(cap),
-                    Position {
-                        offset: 0,
-                        line: self.line_no,
-                        column: 1,
-                    },
-                )));
-            }
-            let trimmed = trim_ascii_bytes(&self.line);
-            if trimmed.is_empty() {
-                continue;
-            }
-            let parser = Parser::with_options(trimmed, self.options.clone());
-            return Some(match parser.parse_complete() {
-                Ok(v) => {
-                    self.recorder.add("json.records", 1);
-                    Ok(v)
-                }
-                Err(e) => {
-                    self.recorder.add("json.parse_errors", 1);
-                    // Re-anchor the error at the file-level line number;
-                    // the column within the line is preserved.
-                    let mut pos = e.span().start;
-                    pos.line = self.line_no;
-                    Err(Error::at(e.kind().clone(), pos))
-                }
-            });
-        }
-    }
-}
-
-impl<R: BufRead> Iterator for NdjsonReader<R> {
-    type Item = Result<Value>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.poisoned {
-            return None;
-        }
-        self.read_record()
-    }
-}
-
 /// Serialize an iterator of values as NDJSON into a writer.
 pub fn write_ndjson<'a, W, I>(mut writer: W, values: I) -> std::io::Result<u64>
 where
@@ -362,42 +177,6 @@ where
 mod tests {
     use super::*;
     use crate::json;
-    use std::io::{self, Read};
-
-    #[test]
-    fn reads_records_skipping_blanks() {
-        let data = "{\"a\":1}\n\n   \n{\"a\":2}";
-        let values: Vec<Value> = NdjsonReader::new(data.as_bytes())
-            .collect::<Result<Vec<_>>>()
-            .unwrap();
-        assert_eq!(values, vec![json!({"a": 1}), json!({"a": 2})]);
-    }
-
-    #[test]
-    fn empty_input_yields_nothing() {
-        assert_eq!(NdjsonReader::new("".as_bytes()).count(), 0);
-        assert_eq!(NdjsonReader::new("\n\n".as_bytes()).count(), 0);
-    }
-
-    #[test]
-    fn error_carries_file_line_number() {
-        let data = "{\"a\":1}\n{\"bad\n{\"a\":2}\n";
-        let mut it = NdjsonReader::new(data.as_bytes());
-        assert!(it.next().unwrap().is_ok());
-        let err = it.next().unwrap().unwrap_err();
-        assert_eq!(err.span().start.line, 2);
-        // Reading continues after a parse error.
-        assert_eq!(it.next().unwrap().unwrap(), json!({"a": 2}));
-    }
-
-    #[test]
-    fn trailing_garbage_on_a_line_is_an_error() {
-        let mut it = NdjsonReader::new("{} {}\n".as_bytes());
-        assert!(matches!(
-            it.next().unwrap().unwrap_err().kind(),
-            ErrorKind::TrailingCharacters
-        ));
-    }
 
     #[test]
     fn write_then_read_round_trip() {
@@ -405,126 +184,24 @@ mod tests {
         let mut buf = Vec::new();
         let bytes = write_ndjson(&mut buf, &values).unwrap();
         assert_eq!(bytes, buf.len() as u64);
-        let back: Vec<Value> = NdjsonReader::new(&buf[..])
-            .collect::<Result<Vec<_>>>()
+        let mut reader = &buf[..];
+        let mut back = Vec::new();
+        loop {
+            let mut line = Vec::new();
+            let raw = read_line_bounded(
+                &mut reader,
+                &mut line,
+                None,
+                RetryPolicy::none(),
+                &Recorder::disabled(),
+            )
             .unwrap();
-        assert_eq!(back, values);
-    }
-
-    struct FailingReader;
-
-    impl Read for FailingReader {
-        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
-            Err(io::Error::other("disk on fire"))
-        }
-    }
-
-    #[test]
-    fn io_error_poisons_the_iterator() {
-        let mut it = NdjsonReader::new(io::BufReader::new(FailingReader));
-        let err = it.next().unwrap().unwrap_err();
-        assert!(matches!(err.kind(), ErrorKind::Io(_)));
-        assert!(it.next().is_none());
-    }
-
-    #[test]
-    fn recorder_counts_bytes_lines_records_and_errors() {
-        let data = "{\"a\":1}\n\n{\"bad\n{\"a\":2}\n";
-        let rec = typefuse_obs::Recorder::enabled();
-        let reader = NdjsonReader::new(data.as_bytes()).with_recorder(rec.clone());
-        let outcomes: Vec<_> = reader.collect();
-        assert_eq!(outcomes.len(), 3, "two records and one error");
-        assert_eq!(rec.counter_value("json.bytes"), data.len() as u64);
-        assert_eq!(rec.counter_value("json.lines"), 4);
-        assert_eq!(rec.counter_value("json.records"), 2);
-        assert_eq!(rec.counter_value("json.parse_errors"), 1);
-    }
-
-    #[test]
-    fn lines_read_counts_blanks() {
-        let mut it = NdjsonReader::new("\n{}\n".as_bytes());
-        it.next();
-        assert_eq!(it.lines_read(), 2);
-    }
-
-    #[test]
-    fn last_line_exposes_the_offending_text() {
-        let mut it = NdjsonReader::new("{bad wolf\n".as_bytes());
-        assert!(it.next().unwrap().is_err());
-        assert_eq!(it.last_line(), b"{bad wolf");
-    }
-
-    /// Yields `Interrupted`/`WouldBlock` before every real chunk.
-    struct Flaky<'a> {
-        data: &'a [u8],
-        pos: usize,
-        fail_next: bool,
-        kind: io::ErrorKind,
-    }
-
-    impl Read for Flaky<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.fail_next && self.pos < self.data.len() {
-                self.fail_next = false;
-                return Err(io::Error::new(self.kind, "transient"));
+            if raw.consumed == 0 {
+                break;
             }
-            self.fail_next = true;
-            let n = buf.len().min(3).min(self.data.len() - self.pos);
-            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
+            back.push(crate::parse::Parser::new(&line).parse_complete().unwrap());
         }
-    }
-
-    #[test]
-    fn transient_errors_are_retried_and_counted() {
-        for kind in [io::ErrorKind::Interrupted, io::ErrorKind::WouldBlock] {
-            let data = "{\"a\":1}\n{\"a\":2}\n";
-            let rec = typefuse_obs::Recorder::enabled();
-            let flaky = Flaky {
-                data: data.as_bytes(),
-                pos: 0,
-                fail_next: true,
-                kind,
-            };
-            let values: Vec<Value> = NdjsonReader::new(io::BufReader::with_capacity(4, flaky))
-                .with_retry(RetryPolicy {
-                    max_retries: 2,
-                    base_backoff: Duration::ZERO,
-                })
-                .with_recorder(rec.clone())
-                .collect::<Result<Vec<_>>>()
-                .unwrap();
-            assert_eq!(values.len(), 2, "{kind:?}");
-            assert!(rec.counter_value("ingest.retries") > 0, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_surface_the_io_error() {
-        let flaky = Flaky {
-            data: b"{\"a\":1}\n",
-            pos: 0,
-            fail_next: true,
-            kind: io::ErrorKind::WouldBlock,
-        };
-        let mut it = NdjsonReader::new(io::BufReader::with_capacity(4, flaky))
-            .with_retry(RetryPolicy::none());
-        let err = it.next().unwrap().unwrap_err();
-        assert!(matches!(err.kind(), ErrorKind::Io(_)));
-    }
-
-    #[test]
-    fn oversized_line_degrades_to_record_too_large() {
-        let data = "{\"small\":1}\n{\"large\":\"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxx\"}\n{\"small\":2}\n";
-        let mut it = NdjsonReader::new(data.as_bytes()).with_max_line_bytes(16);
-        assert!(it.next().unwrap().is_ok());
-        let err = it.next().unwrap().unwrap_err();
-        assert!(matches!(err.kind(), ErrorKind::RecordTooLarge(16)));
-        assert_eq!(err.span().start.line, 2);
-        // The oversized line is fully consumed; iteration continues.
-        assert_eq!(it.next().unwrap().unwrap(), json!({"small": 2}));
-        assert!(it.next().is_none());
+        assert_eq!(back, values);
     }
 
     #[test]
@@ -545,9 +222,19 @@ mod tests {
     }
 
     #[test]
-    fn trim_ascii_bytes_trims_both_ends() {
-        assert_eq!(trim_ascii_bytes(b"  {} \r\n"), b"{}");
-        assert_eq!(trim_ascii_bytes(b"\t\n "), b"");
-        assert_eq!(trim_ascii_bytes(b""), b"");
+    fn bounded_reader_caps_the_line_and_consumes_the_rest() {
+        let mut reader: &[u8] = b"{\"large\":\"xxxxxxxxxxxxxxxxxxxx\"}\n{}\n";
+        let mut buf = Vec::new();
+        let rec = Recorder::disabled();
+        let raw =
+            read_line_bounded(&mut reader, &mut buf, Some(16), RetryPolicy::none(), &rec).unwrap();
+        assert!(raw.truncated);
+        assert_eq!(raw.consumed, 33);
+        assert_eq!(buf, b"{\"large\":\"xxxxxx");
+        buf.clear();
+        let raw =
+            read_line_bounded(&mut reader, &mut buf, Some(16), RetryPolicy::none(), &rec).unwrap();
+        assert!(!raw.truncated);
+        assert_eq!(buf, b"{}");
     }
 }

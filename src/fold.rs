@@ -1,26 +1,33 @@
-//! The one bounded-memory fold behind every text-input run.
+//! The one bounded-memory fold behind every NDJSON command.
 //!
 //! Fusion is commutative and associative (Theorems 5.4/5.5), so the
-//! schema does not depend on which worker folds which record. Every
-//! NDJSON run of [`SchemaJob::run`] and [`SchemaJob::run_profiled`] —
-//! file or stdin, plain or profiled, any error policy — is therefore
-//! one streaming pass:
+//! schema does not depend on which worker folds which record, and the
+//! same holds for any per-dataset statistic that merges as a monoid.
+//! Every NDJSON run — `infer` (file or stdin, plain or profiled, any
+//! error policy), `explain`, `diff`, `registry publish`, `check`,
+//! `stats` and `query` — is therefore one streaming pass through [`run`]:
 //!
 //! * **Reader.** The calling thread cuts the stream into newline-aligned
-//!   *slabs* of about [`SLAB_BYTES`], each tagged with its first line
-//!   number. It applies the retry policy and the line-size guard and
-//!   counts `json.bytes` / `json.lines`.
+//!   *slabs* of about 1 MiB, each tagged with its first line number. It
+//!   applies the retry policy and the line-size guard and counts
+//!   `json.bytes` / `json.lines`.
 //! * **Workers.** `workers` threads take slabs from a bounded queue and
-//!   route every record through the job's [`MapPath`] into one
-//!   accumulator: the schema fuser (plain or dedup) or a [`ProfileAcc`],
-//!   plus an [`ErrorReport`] and the `--stats` tally.
+//!   fold every record into their own [`Accumulator`], plus an
+//!   [`ErrorReport`].
 //! * **Merge.** The workers' accumulators merge once at the end, and the
 //!   error policy judges the merged report.
 //!
+//! The fold owns everything a line goes through before it is a record;
+//! an [`Accumulator`] owns only what a record is folded into. The schema
+//! fold of [`SchemaJob::run`] (plain, dedup or `--dedup auto`, the shape
+//! cache and the `--stats` tally) and the profiled fold of
+//! [`SchemaJob::run_profiled`] are two accumulators; `check`, `stats` and
+//! `query` bring their own.
+//!
 //! Memory is bounded by (workers + queue depth + 1) slabs plus the
-//! per-distinct-type state of the accumulators, whatever the input size.
-//! Bad records are anchored at their 1-based input line, so output and
-//! errors are byte-identical for every worker count.
+//! accumulators, whatever the input size. Bad records are anchored at
+//! their 1-based input line, so output and errors are byte-identical for
+//! every worker count.
 //!
 //! Every line goes through one public [`step`]: UTF-8 and line-guard
 //! classification, trimming, the record fold, and the bad record. The
@@ -60,41 +67,35 @@ const SLAB_BYTES: usize = 1 << 20;
 /// reader fills the next one.
 const QUEUE_PER_WORKER: usize = 2;
 
-/// What a text run folds its records into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Target {
-    /// The fused schema ([`SchemaJob::run`]).
-    Schema,
-    /// The per-path profile ([`SchemaJob::run_profiled`]).
-    Profile,
+/// What a fold folds its records into. Every worker folds into its own
+/// accumulator and the fold merges them once at the end, so `merge`
+/// must be associative and commutative in everything the caller
+/// reports.
+pub trait Accumulator: Send {
+    /// Fold one record: its trimmed text, read at 1-based input line
+    /// `line`. An error makes the line a bad record under the job's
+    /// error policy, anchored at `line`.
+    fn absorb(&mut self, line: u64, text: &str) -> typefuse_json::Result<()>;
+
+    /// Merge another worker's accumulator into this one.
+    fn merge(&mut self, other: Self);
 }
 
-/// The merged outcome of a fold, before the error policy runs.
-pub(crate) struct Folded {
-    /// The merged accumulator.
-    pub(crate) acc: Acc,
-    /// Every bad record, merged.
-    pub(crate) errors: ErrorReport,
-    /// The `--stats` columns (default when the job does not collect them).
-    pub(crate) type_stats: TypeStats,
-    /// Records folded.
-    pub(crate) records: u64,
+/// The merged outcome of [`run`], after the error policy has run.
+#[derive(Debug)]
+pub struct Folded<A> {
+    /// The workers' accumulators, merged.
+    pub acc: A,
+    /// Records folded: the lines that were neither blank nor bad.
+    pub records: u64,
     /// Slabs the reader cut.
-    pub(crate) slabs: usize,
+    pub slabs: usize,
+    /// Every bad record the error policy let through.
+    pub errors: ErrorReport,
     /// One task per worker: its busy time and start offset.
-    pub(crate) fold_metrics: StageMetrics,
+    pub fold_metrics: StageMetrics,
     /// The final merge, as one task.
-    pub(crate) merge_metrics: StageMetrics,
-}
-
-/// A worker's accumulator.
-pub(crate) enum Acc {
-    /// Figure 6 fusion into a bare type.
-    Plain(Type),
-    /// The shape-dedup route (hash-consed, memoized fusion).
-    Dedup(DedupAcc),
-    /// The profiled route.
-    Profile(ProfileAcc),
+    pub merge_metrics: StageMetrics,
 }
 
 /// A run of consecutive input lines.
@@ -219,29 +220,44 @@ pub fn absorb_profile(
     }
 }
 
-/// Fold `reader` into `target` under `job`.
-pub(crate) fn fold(
+/// Fold `reader` under `job`: every worker folds its records into an
+/// accumulator made by `new`, the accumulators merge once, and the job's
+/// error policy judges the merged report.
+///
+/// Fails with the earliest bad record under fail-fast, on an exhausted
+/// error budget, on an unreadable input (with the line it stopped at),
+/// or on a worker panic (the earliest panicking slab).
+pub fn run<A: Accumulator>(
     job: &SchemaJob,
     reader: &mut dyn BufRead,
-    target: Target,
-) -> Result<Folded, Error> {
-    fold_with(job, reader, target, SLAB_BYTES)
+    new: impl Fn() -> A + Sync,
+) -> Result<Folded<A>, Error> {
+    run_in_slabs(job, reader, SLAB_BYTES, new)
 }
 
-fn fold_with(
+/// [`run`] with slabs of about `slab_bytes` instead of 1 MiB. Small
+/// slabs spread a small input over every worker, which tests use to
+/// move slab boundaries across records.
+pub fn run_in_slabs<A: Accumulator>(
     job: &SchemaJob,
     reader: &mut dyn BufRead,
-    target: Target,
     slab_bytes: usize,
-) -> Result<Folded, Error> {
+    new: impl Fn() -> A + Sync,
+) -> Result<Folded<A>, Error> {
+    let folded = fold_with(job, reader, slab_bytes, new)?;
+    job.error_policy.enforce(&folded.errors, &job.recorder)?;
+    Ok(folded)
+}
+
+/// The fold without the error policy.
+fn fold_with<A: Accumulator>(
+    job: &SchemaJob,
+    reader: &mut dyn BufRead,
+    slab_bytes: usize,
+    new: impl Fn() -> A + Sync,
+) -> Result<Folded<A>, Error> {
     let rec = &job.recorder;
     let workers = job.runtime.workers().max(1);
-    let shared = Shared {
-        job,
-        target,
-        fuser: RecordedFuser::new(job.fuse_config, rec.clone()),
-        auto: (target == Target::Schema && job.dedup == DedupMode::Auto).then(AutoDedup::default),
-    };
     let (tx, rx) = sync_channel::<Slab>(workers * QUEUE_PER_WORKER);
     let rx = Mutex::new(rx);
     let start = Instant::now();
@@ -250,15 +266,15 @@ fn fold_with(
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let (shared, rx) = (&shared, &rx);
-                    scope.spawn(move || work(shared, rx, start))
+                    let (new, rx) = (&new, &rx);
+                    scope.spawn(move || work(job, new(), rx, start))
                 })
                 .collect();
             let read = {
                 let _span = rec.span("pipeline.read");
                 read_slabs(job, reader, slab_bytes, tx)
             };
-            let outs: Vec<WorkerOut> = handles
+            let outs: Vec<WorkerOut<A>> = handles
                 .into_iter()
                 .map(|h| h.join().expect("fold workers catch their own panics"))
                 .collect();
@@ -291,21 +307,21 @@ fn fold_with(
         })
         .collect();
     let merge_start = Instant::now();
-    let merged = {
+    let (mut acc, mut errors, mut records) = (new(), ErrorReport::new(), 0);
+    {
         let _span = rec.span("pipeline.reduce");
-        let mut total = Fold::new(&shared);
         for out in outs {
-            total.merge(&shared, out.fold);
+            acc.merge(out.acc);
+            errors.merge(&out.errors);
+            records += out.records;
         }
-        total
-    };
+    }
     let merge_time = merge_start.elapsed();
     Ok(Folded {
-        acc: merged.acc,
-        errors: merged.errors,
-        type_stats: merged.stats.map(Tally::finish).unwrap_or_default(),
-        records: merged.records,
+        acc,
+        records,
         slabs,
+        errors,
         fold_metrics: StageMetrics::new(tasks, fold_wall),
         merge_metrics: StageMetrics::new(
             vec![TaskMetrics {
@@ -364,14 +380,6 @@ fn read_slabs(
     Ok(slabs)
 }
 
-/// Read-only state every worker shares.
-struct Shared<'j> {
-    job: &'j SchemaJob,
-    target: Target,
-    fuser: RecordedFuser,
-    auto: Option<AutoDedup>,
-}
-
 /// The `--dedup auto` decision, shared by the workers: they feed the
 /// first records' types to one [`DedupSampler`], and once it rules for
 /// dedup every worker switches at its next record.
@@ -408,9 +416,11 @@ impl AutoDedup {
     }
 }
 
-/// What one worker hands back.
-struct WorkerOut {
-    fold: Fold,
+/// One worker's accumulators, and what it hands back.
+struct WorkerOut<A> {
+    acc: A,
+    errors: ErrorReport,
+    records: u64,
     /// Busy time folding slabs.
     busy: Duration,
     /// When the worker took its first slab, from the stage start.
@@ -420,12 +430,19 @@ struct WorkerOut {
     panics: usize,
 }
 
-/// One worker: fold slabs until the reader hangs up, then return the
-/// accumulators. A panic while folding a slab is caught and reported;
-/// the worker keeps draining the queue so the reader never blocks.
-fn work(shared: &Shared<'_>, rx: &Mutex<Receiver<Slab>>, stage_start: Instant) -> WorkerOut {
+/// One worker: fold slabs into `acc` until the reader hangs up. A panic
+/// while folding a slab is caught and reported; the worker keeps
+/// draining the queue so the reader never blocks.
+fn work<A: Accumulator>(
+    job: &SchemaJob,
+    acc: A,
+    rx: &Mutex<Receiver<Slab>>,
+    stage_start: Instant,
+) -> WorkerOut<A> {
     let mut out = WorkerOut {
-        fold: Fold::new(shared),
+        acc,
+        errors: ErrorReport::new(),
+        records: 0,
         busy: Duration::ZERO,
         started: Duration::ZERO,
         panic: None,
@@ -441,54 +458,19 @@ fn work(shared: &Shared<'_>, rx: &Mutex<Receiver<Slab>>, stage_start: Instant) -
         }
         // After a panic the accumulators are suspect: drain only.
         if out.panic.is_none() {
-            let fold = &mut out.fold;
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fold.slab(shared, &slab))) {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| out.slab(job, &slab))) {
                 out.panic = Some((slab.index, panic_message(payload)));
                 out.panics += 1;
             }
         }
         out.busy += t0.elapsed();
     }
-    if let Some(cache) = &mut out.fold.cache {
-        cache.flush_counters(&shared.job.recorder);
-    }
     out
 }
 
-/// One worker's accumulators.
-struct Fold {
-    acc: Acc,
-    cache: Option<ShapeCache>,
-    errors: ErrorReport,
-    stats: Option<Tally>,
-    records: u64,
-    /// Fusions done on the plain route before `--dedup auto` moved this
-    /// worker to dedup; they count as memo misses.
-    plain_fusions: u64,
-}
-
-impl Fold {
-    fn new(shared: &Shared<'_>) -> Fold {
-        let job = shared.job;
-        let acc = match shared.target {
-            Target::Profile => Acc::Profile(profile_acc(job)),
-            Target::Schema if job.dedup == DedupMode::On => Acc::Dedup(DedupAcc::new()),
-            Target::Schema => Acc::Plain(Type::Bottom),
-        };
-        let shape = shared.target == Target::Schema && job.map_path == MapPath::Shape;
-        Fold {
-            acc,
-            cache: shape.then(ShapeCache::new),
-            errors: ErrorReport::new(),
-            stats: job.collect_type_stats.then(Tally::default),
-            records: 0,
-            plain_fusions: 0,
-        }
-    }
-
-    /// Fold every record of one slab.
-    fn slab(&mut self, shared: &Shared<'_>, slab: &Slab) {
-        let job = shared.job;
+impl<A: Accumulator> WorkerOut<A> {
+    /// Fold every line of one slab.
+    fn slab(&mut self, job: &SchemaJob, slab: &Slab) {
         let (mut good, mut bad) = (0u64, 0u64);
         let mut start = 0;
         for (i, &(end, truncated)) in slab.lines.iter().enumerate() {
@@ -496,7 +478,7 @@ impl Fold {
             let raw = &slab.text[start..end];
             start = end;
             match step(job, line, raw, truncated, |text| {
-                self.record(shared, line, text)
+                self.acc.absorb(line, text)
             }) {
                 Step::Blank => {}
                 Step::Folded => good += 1,
@@ -506,102 +488,210 @@ impl Fold {
                 }
             }
         }
+        self.records += good;
         job.recorder.add("json.records", good);
         job.recorder.add("json.parse_errors", bad);
     }
+}
 
-    /// Infer one record and fold it in.
-    fn record(&mut self, shared: &Shared<'_>, line: u64, text: &str) -> typefuse_json::Result<()> {
+/// What every worker's [`SchemaAcc`] shares: the recorded fuser and the
+/// `--dedup auto` decision.
+pub(crate) struct SchemaShared<'j> {
+    job: &'j SchemaJob,
+    fuser: RecordedFuser,
+    auto: Option<AutoDedup>,
+}
+
+impl<'j> SchemaShared<'j> {
+    pub(crate) fn new(job: &'j SchemaJob) -> Self {
+        SchemaShared {
+            job,
+            fuser: RecordedFuser::new(job.fuse_config, job.recorder.clone()),
+            auto: (job.dedup == DedupMode::Auto).then(AutoDedup::default),
+        }
+    }
+
+    /// An empty accumulator for one worker.
+    pub(crate) fn acc(&self) -> SchemaAcc<'_> {
+        let job = self.job;
+        SchemaAcc {
+            shared: self,
+            fused: match job.dedup {
+                DedupMode::On => Fused::Dedup(DedupAcc::new()),
+                DedupMode::Auto | DedupMode::Off => Fused::Plain(Type::Bottom),
+            },
+            cache: (job.map_path == MapPath::Shape).then(ShapeCache::new),
+            stats: job.collect_type_stats.then(Tally::default),
+            records: 0,
+            plain_fusions: 0,
+        }
+    }
+}
+
+/// The schema fold: every record's type, inferred through the job's map
+/// path, fused on the plain or the dedup route.
+pub(crate) struct SchemaAcc<'a> {
+    shared: &'a SchemaShared<'a>,
+    fused: Fused,
+    cache: Option<ShapeCache>,
+    stats: Option<Tally>,
+    records: u64,
+    /// Fusions done on the plain route before `--dedup auto` moved this
+    /// worker to dedup; they count as memo misses.
+    plain_fusions: u64,
+}
+
+/// The schema so far, on one of the two Reduce routes.
+enum Fused {
+    /// Figure 6 fusion into a bare type.
+    Plain(Type),
+    /// The shape-dedup route (hash-consed, memoized fusion).
+    Dedup(DedupAcc),
+}
+
+impl SchemaAcc<'_> {
+    /// The fused schema and the `--stats` columns. The dedup route also
+    /// reports its counters.
+    pub(crate) fn finish(self) -> (Type, TypeStats) {
+        let rec = &self.shared.job.recorder;
+        let schema = match self.fused {
+            Fused::Plain(schema) => schema,
+            Fused::Dedup(acc) => {
+                rec.add("infer.dedup", 1);
+                acc.flush_counters(rec);
+                acc.schema()
+            }
+        };
+        (schema, self.stats.map(Tally::finish).unwrap_or_default())
+    }
+}
+
+impl Accumulator for SchemaAcc<'_> {
+    fn absorb(&mut self, _line: u64, text: &str) -> typefuse_json::Result<()> {
+        let shared = self.shared;
         let job = shared.job;
         let (rec, options) = (&job.recorder, &job.parser_options);
-        let Fold {
-            acc, cache, stats, ..
-        } = self;
         let owned;
-        let ty: &Type = match (acc, job.map_path) {
-            (Acc::Profile(profile), _) => {
-                owned = absorb_profile(job, profile, line, text)?;
-                &owned
-            }
-            (_, MapPath::Shape) => cache
+        let ty: &Type = match job.map_path {
+            MapPath::Shape => self
+                .cache
                 .as_mut()
                 .expect("the shape route keeps a cache")
                 .infer_line_ref(text.as_bytes(), options, rec)?,
-            (_, MapPath::Events) => {
+            MapPath::Events => {
                 owned =
                     streaming::infer_with_options_recorded(text.as_bytes(), options.clone(), rec)?;
                 &owned
             }
-            (_, MapPath::Values) => {
+            MapPath::Values => {
                 owned = Parser::with_options(text.as_bytes(), options.clone())
                     .parse_complete()
                     .map(|v| infer_type_recorded(&v, rec))?;
                 &owned
             }
         };
-        if let Some(stats) = stats {
+        if let Some(stats) = &mut self.stats {
             stats.observe(ty);
         }
         self.records += 1;
-        match &mut self.acc {
-            Acc::Profile(_) => {}
-            Acc::Dedup(dedup) => dedup.absorb_type(job.fuse_config, ty),
-            Acc::Plain(schema) => {
+        match &mut self.fused {
+            Fused::Dedup(dedup) => dedup.absorb_type(job.fuse_config, ty),
+            Fused::Plain(schema) => {
                 if !matches!(schema, Type::Bottom) {
                     self.plain_fusions += 1;
                 }
                 shared.fuser.absorb_type(schema, ty);
                 if shared.auto.as_ref().is_some_and(|auto| auto.observe(ty)) {
                     rec.add("fuse.cache_misses", self.plain_fusions);
-                    self.acc = Acc::Dedup(DedupAcc::resume(schema, self.records));
+                    self.fused = Fused::Dedup(DedupAcc::resume(schema, self.records));
                 }
             }
         }
         Ok(())
     }
 
-    /// Merge another worker's accumulators into this one.
-    fn merge(&mut self, shared: &Shared<'_>, other: Fold) {
+    fn merge(&mut self, other: Self) {
+        let shared = self.shared;
         let cfg = shared.job.fuse_config;
-        let acc = std::mem::replace(&mut self.acc, Acc::Plain(Type::Bottom));
-        self.acc = match (acc, other.acc) {
-            (Acc::Plain(mut a), Acc::Plain(b)) => {
+        if let Some(mut cache) = other.cache {
+            cache.flush_counters(&shared.job.recorder);
+        }
+        let mine = std::mem::replace(&mut self.fused, Fused::Plain(Type::Bottom));
+        self.fused = match (mine, other.fused) {
+            (Fused::Plain(mut a), Fused::Plain(b)) => {
                 if matches!(a, Type::Bottom) {
                     a = b;
                 } else if !matches!(b, Type::Bottom) {
                     shared.fuser.merge(&mut a, &b);
                 }
-                Acc::Plain(a)
+                Fused::Plain(a)
             }
-            (Acc::Dedup(mut a), Acc::Dedup(b)) => {
+            (Fused::Dedup(mut a), Fused::Dedup(b)) => {
                 a.merge(cfg, &b);
-                Acc::Dedup(a)
+                Fused::Dedup(a)
             }
             // `--dedup auto` switched one side only: the plain partial
             // joins the dedup one as a resumed accumulator.
-            (Acc::Dedup(mut d), Acc::Plain(p)) => {
+            (Fused::Dedup(mut d), Fused::Plain(p)) => {
                 if !matches!(p, Type::Bottom) {
                     d.merge(cfg, &DedupAcc::resume(&p, other.records));
                 }
-                Acc::Dedup(d)
+                Fused::Dedup(d)
             }
-            (Acc::Plain(p), Acc::Dedup(mut d)) => {
+            (Fused::Plain(p), Fused::Dedup(mut d)) => {
                 if !matches!(p, Type::Bottom) {
                     d.merge(cfg, &DedupAcc::resume(&p, self.records));
                 }
-                Acc::Dedup(d)
+                Fused::Dedup(d)
             }
-            (Acc::Profile(mut a), Acc::Profile(b)) => {
-                a.merge(&b);
-                Acc::Profile(a)
-            }
-            _ => unreachable!("one run folds one target"),
         };
-        self.errors.merge(&other.errors);
         if let (Some(stats), Some(other)) = (&mut self.stats, other.stats) {
             stats.merge(other);
         }
         self.records += other.records;
+    }
+}
+
+/// The profiled fold: a [`ProfileAcc`] fed through the job's map path,
+/// plus the `--stats` tally.
+pub(crate) struct ProfiledAcc<'j> {
+    job: &'j SchemaJob,
+    profile: ProfileAcc,
+    stats: Option<Tally>,
+}
+
+impl<'j> ProfiledAcc<'j> {
+    pub(crate) fn new(job: &'j SchemaJob) -> Self {
+        ProfiledAcc {
+            job,
+            profile: profile_acc(job),
+            stats: job.collect_type_stats.then(Tally::default),
+        }
+    }
+
+    /// The profile and the `--stats` columns.
+    pub(crate) fn finish(self) -> (ProfileAcc, TypeStats) {
+        (
+            self.profile,
+            self.stats.map(Tally::finish).unwrap_or_default(),
+        )
+    }
+}
+
+impl Accumulator for ProfiledAcc<'_> {
+    fn absorb(&mut self, line: u64, text: &str) -> typefuse_json::Result<()> {
+        let ty = absorb_profile(self.job, &mut self.profile, line, text)?;
+        if let Some(stats) = &mut self.stats {
+            stats.observe(&ty);
+        }
+        Ok(())
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.profile.merge(&other.profile);
+        if let (Some(stats), Some(other)) = (&mut self.stats, other.stats) {
+            stats.merge(other);
+        }
     }
 }
 
@@ -660,17 +750,45 @@ mod tests {
     use std::io::BufReader;
     use typefuse_json::ParserOptions;
 
-    /// Fold `text` with `slab_bytes`-sized slabs.
-    fn fold_text(job: &SchemaJob, text: &str, slab_bytes: usize) -> Result<Folded, Error> {
-        fold_with(job, &mut text.as_bytes(), Target::Schema, slab_bytes)
+    /// `folded` with its accumulator replaced by the printed schema.
+    fn printed<A>(folded: Folded<A>, schema: impl FnOnce(A) -> Type) -> Folded<String> {
+        Folded {
+            acc: schema(folded.acc).to_string(),
+            records: folded.records,
+            slabs: folded.slabs,
+            errors: folded.errors,
+            fold_metrics: folded.fold_metrics,
+            merge_metrics: folded.merge_metrics,
+        }
     }
 
-    fn schema_of(folded: &Folded) -> String {
-        match &folded.acc {
-            Acc::Plain(ty) => ty.to_string(),
-            Acc::Dedup(acc) => acc.schema().to_string(),
-            Acc::Profile(acc) => acc.schema().to_string(),
-        }
+    /// The schema fold of `input` with `slab_bytes`-sized slabs, before
+    /// the error policy runs.
+    fn fold_schema(
+        job: &SchemaJob,
+        input: &mut dyn BufRead,
+        slab_bytes: usize,
+    ) -> Result<Folded<String>, Error> {
+        let shared = SchemaShared::new(job);
+        let folded = fold_with(job, input, slab_bytes, || shared.acc())?;
+        Ok(printed(folded, |acc| acc.finish().0))
+    }
+
+    /// The profiled fold of `input`, like [`fold_schema`].
+    fn fold_profile(
+        job: &SchemaJob,
+        input: &mut dyn BufRead,
+        slab_bytes: usize,
+    ) -> Result<Folded<String>, Error> {
+        let folded = fold_with(job, input, slab_bytes, || ProfiledAcc::new(job))?;
+        Ok(printed(folded, |acc| acc.finish().0.schema().clone()))
+    }
+
+    /// A fold under either accumulator, printed.
+    type Fold = fn(&SchemaJob, &mut dyn BufRead, usize) -> Result<Folded<String>, Error>;
+
+    fn fold_text(job: &SchemaJob, text: &str, slab_bytes: usize) -> Result<Folded<String>, Error> {
+        fold_schema(job, &mut text.as_bytes(), slab_bytes)
     }
 
     /// Clean, blank, malformed, oversized and non-UTF-8 lines of very
@@ -691,7 +809,7 @@ mod tests {
                 let job = JobConfig::new().workers(workers).build();
                 let folded = fold_text(&job, &contents, slab_bytes).unwrap();
                 assert_eq!(folded.records, 50, "{slab_bytes} B, {workers}w");
-                assert_eq!(schema_of(&folded), schema_of(&whole));
+                assert_eq!(folded.acc, whole.acc);
                 assert!(folded.slabs > 1, "{slab_bytes} B cut one slab");
             }
         }
@@ -711,28 +829,17 @@ mod tests {
         // Plus a non-UTF-8 line, which only raw bytes can carry.
         let mut text = MIXED.as_bytes().to_vec();
         text.extend_from_slice(b"\n{\"bin\":\"\xff\"}\n{\"a\":2}\n");
-        let whole = fold_with(
-            &config(1).build(),
-            &mut text.as_slice(),
-            Target::Schema,
-            SLAB_BYTES,
-        )
-        .unwrap();
+        let whole = fold_schema(&config(1).build(), &mut text.as_slice(), SLAB_BYTES).unwrap();
         assert_eq!(whole.records, 6);
         let bad: Vec<u64> = whole.errors.records().iter().map(|r| r.at).collect();
         assert_eq!(bad, [3, 6, 10], "oversized, malformed, non-UTF-8");
         for slab_bytes in 1..=text.len() + 1 {
             for workers in [1, 2, 4] {
-                for target in [Target::Schema, Target::Profile] {
-                    let folded = fold_with(
-                        &config(workers).build(),
-                        &mut text.as_slice(),
-                        target,
-                        slab_bytes,
-                    )
-                    .unwrap();
-                    let label = format!("{slab_bytes} B, {workers}w, {target:?}");
-                    assert_eq!(schema_of(&folded), schema_of(&whole), "{label}");
+                for (target, fold) in [("schema", fold_schema as Fold), ("profile", fold_profile)] {
+                    let folded =
+                        fold(&config(workers).build(), &mut text.as_slice(), slab_bytes).unwrap();
+                    let label = format!("{slab_bytes} B, {workers}w, {target}");
+                    assert_eq!(folded.acc, whole.acc, "{label}");
                     assert_eq!(folded.records, whole.records, "{label}");
                     assert_eq!(folded.errors, whole.errors, "{label}");
                 }
@@ -754,10 +861,10 @@ mod tests {
 
         let job = JobConfig::new().workers(4).without_type_stats().build();
         let mut reader = BufReader::new(std::fs::File::open(&path).unwrap());
-        let from_file = fold_with(&job, &mut reader, Target::Schema, 4096).unwrap();
+        let from_file = fold_schema(&job, &mut reader, 4096).unwrap();
         let in_memory = job.run_values(values);
         std::fs::remove_file(&path).ok();
-        assert_eq!(schema_of(&from_file), in_memory.schema.to_string());
+        assert_eq!(from_file.acc, in_memory.schema.to_string());
         assert_eq!(from_file.records, in_memory.records);
         assert!(from_file.slabs > 1);
         assert!(from_file.errors.is_empty());
@@ -765,13 +872,16 @@ mod tests {
 
     #[test]
     fn recorded_fold_counts_slabs_and_records() {
+        // A blank and a bad line count as lines, not records.
         let contents: String = (0..40).map(|i| format!("{{\"n\":{i}}}\n")).collect();
+        let contents = format!("{contents}\n{{\"bad\n");
         let rec = typefuse_obs::Recorder::enabled();
         let job = JobConfig::new().workers(2).recorder(rec.clone()).build();
         let folded = fold_text(&job, &contents, 100).unwrap();
         let report = rec.snapshot();
         assert_eq!(report.counters["json.records"], 40);
-        assert_eq!(report.counters["json.lines"], 40);
+        assert_eq!(report.counters["json.parse_errors"], 1);
+        assert_eq!(report.counters["json.lines"], 42);
         assert_eq!(report.counters["json.bytes"], contents.len() as u64);
         assert_eq!(folded.records, 40);
         assert!(folded.slabs > 1);
@@ -800,7 +910,7 @@ mod tests {
             let job = JobConfig::new().workers(2).build();
             let folded = fold_text(&job, contents, 1).unwrap();
             assert_eq!(folded.records, 0);
-            assert_eq!(schema_of(&folded), Type::Bottom.to_string());
+            assert_eq!(folded.acc, Type::Bottom.to_string());
         }
     }
 
@@ -826,7 +936,7 @@ mod tests {
                 .on_error(ErrorPolicy::skip())
                 .build();
             let folded = fold_text(&job, &contents, 50).unwrap();
-            assert_eq!(schema_of(&folded), schema_of(&expect), "{workers}w");
+            assert_eq!(folded.acc, expect.acc, "{workers}w");
             assert_eq!(folded.records, expect.records, "{workers}w");
             assert_eq!(folded.errors.skipped(), 9, "{workers}w");
             reports.push(folded.errors);

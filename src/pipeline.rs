@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::Error;
 use crate::faults::{ErrorPolicy, ErrorReport};
-use crate::fold::{self, Acc, Tally, Target};
+use crate::fold::{self, ProfiledAcc, SchemaShared, Tally};
 use typefuse_engine::{Dataset, ReducePlan, Runtime, StageMetrics, WorkerPanic};
 use typefuse_infer::{
     infer_type_recorded, DedupFuser, FuseConfig, ProfileAcc, ProfileReport, Profiling,
@@ -371,25 +371,16 @@ impl SchemaJob {
             Source::Dataset(dataset) => self.run_value_dataset(dataset),
             Source::Ndjson(mut reader) => {
                 let wall_start = Instant::now();
-                let rec = &self.recorder;
-                let folded = fold::fold(self, &mut reader, Target::Schema)?;
-                self.error_policy.enforce(&folded.errors, rec)?;
-                let schema = match folded.acc {
-                    Acc::Plain(schema) => schema,
-                    Acc::Dedup(acc) => {
-                        rec.add("infer.dedup", 1);
-                        acc.flush_counters(rec);
-                        acc.schema()
-                    }
-                    Acc::Profile(_) => unreachable!("a schema run folds no profile"),
-                };
-                rec.add("records", folded.records);
+                let shared = SchemaShared::new(self);
+                let folded = fold::run(self, &mut reader, || shared.acc())?;
+                let (schema, type_stats) = folded.acc.finish();
+                self.recorder.add("records", folded.records);
                 Ok(SchemaResult {
                     fused_size: schema.size(),
                     schema,
                     records: folded.records,
                     partitions: folded.slabs,
-                    type_stats: folded.type_stats,
+                    type_stats,
                     errors: folded.errors,
                     map_time: folded.fold_metrics.wall,
                     reduce_time: folded.merge_metrics.wall,
@@ -495,12 +486,9 @@ impl SchemaJob {
             Source::Ndjson(mut reader) => {
                 let folded = {
                     let _span = rec.span("pipeline.profile");
-                    fold::fold(self, &mut reader, Target::Profile)?
+                    fold::run(self, &mut reader, || ProfiledAcc::new(self))?
                 };
-                self.error_policy.enforce(&folded.errors, rec)?;
-                let Acc::Profile(acc) = folded.acc else {
-                    unreachable!("a profiled run folds a profile")
-                };
+                let (acc, type_stats) = folded.acc.finish();
                 let profile = acc.finish();
                 let records = profile.records;
                 rec.add("records", records);
@@ -509,7 +497,7 @@ impl SchemaJob {
                     records,
                     partitions: folded.slabs,
                     errors: folded.errors,
-                    type_stats: folded.type_stats,
+                    type_stats,
                     wall: wall_start.elapsed(),
                     fold_metrics: folded.fold_metrics,
                 })
