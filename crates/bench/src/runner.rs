@@ -97,9 +97,8 @@ impl ScaleConfig {
     /// Builder: adopt the shared [`typefuse::JobConfig`] knobs — one
     /// configuration surface for the pipeline, the daemon and the
     /// bench matrix. `None` workers/partitions keep this config's
-    /// derived defaults; [`typefuse::pipeline::DedupMode::Auto`] is
-    /// resolved against [`ScaleConfig::dedup`]'s current value (the
-    /// matrix pins dedup per cell, it never samples).
+    /// derived defaults; [`ScaleConfig::dedup`] is the matrix's own
+    /// axis and stays as it is.
     pub fn with_job_config(mut self, job: &typefuse::JobConfig) -> Self {
         if let Some(w) = job.workers {
             self.workers = w.max(1);
@@ -109,11 +108,6 @@ impl ScaleConfig {
         }
         self.map_path = job.map_path;
         self.fuse_config = job.fuse_config;
-        self.dedup = match job.dedup {
-            typefuse::pipeline::DedupMode::On => true,
-            typefuse::pipeline::DedupMode::Off => false,
-            typefuse::pipeline::DedupMode::Auto => self.dedup,
-        };
         self
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::args::ArgStream;
 use crate::{CliError, CliResult};
-use typefuse::pipeline::{DedupMode, MapPath};
+use typefuse::pipeline::MapPath;
 use typefuse::JobConfig;
 use typefuse_bench::{compare, trajectory, BenchReport, BenchRun, ScaleConfig};
 use typefuse_datagen::Profile;
@@ -92,9 +92,9 @@ fn run_matrix(args: &mut ArgStream) -> CliResult {
                     let job = JobConfig::new()
                         .workers(w)
                         .partitions(partitions.unwrap_or((w * 4).max(1)))
-                        .map_path(map_path)
-                        .dedup(if dedup { DedupMode::On } else { DedupMode::Off });
+                        .map_path(map_path);
                     let mut config = ScaleConfig::new(profile, records).with_job_config(&job);
+                    config.dedup = dedup;
                     if measure_bytes {
                         config = config.measure_bytes();
                     }

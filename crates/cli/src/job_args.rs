@@ -5,7 +5,7 @@
 
 use crate::args::ArgStream;
 use crate::{CliError, CliResult};
-use typefuse::pipeline::{DedupMode, MapPath};
+use typefuse::pipeline::MapPath;
 use typefuse::JobConfig;
 use typefuse::{ErrorPolicy, RetryPolicy};
 use typefuse_json::ParserOptions;
@@ -18,16 +18,14 @@ use typefuse_obs::Recorder;
 pub(crate) struct JobFlags {
     pub(crate) workers: Option<usize>,
     pub(crate) map_path: Option<MapPath>,
-    pub(crate) dedup: DedupMode,
     pub(crate) policy: ErrorPolicy,
     pub(crate) max_depth: Option<usize>,
     pub(crate) max_line_bytes: Option<usize>,
 }
 
 impl JobFlags {
-    /// Parse the full flag set: `--workers`, `--map-path`, `--dedup`,
-    /// plus everything in
-    /// [`JobFlags::parse_ingest`].
+    /// Parse the full flag set: `--workers`, `--map-path`, plus
+    /// everything in [`JobFlags::parse_ingest`].
     pub(crate) fn parse(args: &mut ArgStream) -> Result<JobFlags, CliError> {
         let workers = args.parsed_option("--workers")?;
         let map_path = args
@@ -35,20 +33,9 @@ impl JobFlags {
             .as_deref()
             .map(parse_map_path)
             .transpose()?;
-        let dedup = match args.option("--dedup")?.as_deref() {
-            None | Some("auto") => DedupMode::Auto,
-            Some("on") => DedupMode::On,
-            Some("off") => DedupMode::Off,
-            Some(other) => {
-                return Err(CliError::usage(format!(
-                    "unknown dedup mode `{other}` (expected auto, on or off)"
-                )))
-            }
-        };
         let mut flags = JobFlags::parse_ingest(args)?;
         flags.workers = workers;
         flags.map_path = map_path;
-        flags.dedup = dedup;
         Ok(flags)
     }
 
@@ -63,7 +50,6 @@ impl JobFlags {
         Ok(JobFlags {
             workers: None,
             map_path: None,
-            dedup: DedupMode::Auto,
             policy,
             max_depth,
             max_line_bytes,
@@ -83,7 +69,6 @@ impl JobFlags {
     pub(crate) fn config(&self, recorder: Recorder) -> JobConfig {
         let mut config = JobConfig::new()
             .recorder(recorder)
-            .dedup(self.dedup)
             .on_error(self.policy.clone())
             .retry(RetryPolicy::default())
             .parser_options(self.parser_options());
@@ -177,8 +162,6 @@ mod tests {
             "3",
             "--map-path",
             "events",
-            "--dedup",
-            "on",
             "--on-error",
             "skip",
             "--max-errors",
@@ -192,7 +175,6 @@ mod tests {
         args.finish().unwrap();
         assert_eq!(flags.workers, Some(3));
         assert_eq!(flags.map_path, Some(MapPath::Events));
-        assert_eq!(flags.dedup, DedupMode::On);
         assert!(matches!(
             flags.policy,
             ErrorPolicy::Skip {
@@ -203,7 +185,6 @@ mod tests {
         let config = flags.config(Recorder::disabled());
         assert_eq!(config.workers, Some(3));
         assert_eq!(config.max_line_bytes, Some(4096));
-        assert_eq!(config.dedup, DedupMode::On);
     }
 
     #[test]

@@ -105,11 +105,6 @@ COMMANDS:
                            value trees first (differential testing), or
                            serve repeated raw shapes from a signature
                            cache
-        --dedup M          auto | on | off: fuse over distinct shapes
-                           (hash-consed interning + memoized fusion);
-                           auto samples the first records and dedups
-                           when shapes repeat. Output is byte-identical
-                           either way (default: auto)
         --positional-arrays  keep aligned positional arrays (ablation)
         --maplike            summarise ids-as-keys records as {<key>: T}
         --profile-json F     fold a per-path dataset profile (presence

@@ -291,6 +291,11 @@ fn removed_flags_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(stderr(&out).contains(flag), "{flag}: {}", stderr(&out));
     }
+    // Every schema fold saturates (each distinct type fused at most
+    // twice): there is no Reduce route left to pick.
+    let out = typefuse(&["infer", "-", "--dedup", "on"], Some("{}\n"));
+    assert_eq!(out.status.code(), Some(2), "infer --dedup");
+    assert!(stderr(&out).contains("--dedup"), "{}", stderr(&out));
     // Text input is cut into slabs, not partitions.
     for args in [
         vec!["infer", "-", "--partitions", "3"],
@@ -399,7 +404,6 @@ fn file_and_stdin_agree_across_workers_and_routes() {
     for workers in ["1", "2", "4"] {
         for route in [
             vec![],
-            vec!["--dedup", "on"],
             vec!["--map-path", "shape"],
             vec!["--map-path", "value"],
         ] {
@@ -780,8 +784,6 @@ fn profile_json_composes_with_stats_and_ingest_flags() {
             "--profile-json",
             profile,
             "--stats",
-            "--dedup",
-            "on",
             "--on-error",
             "skip",
             "--max-depth",
@@ -877,7 +879,6 @@ fn skip_policy_agrees_across_routes() {
     for route in [
         vec!["--map-path", "events"],
         vec!["--map-path", "value"],
-        vec!["--dedup", "on"],
         vec!["--map-path", "shape"],
         vec!["--profile-json", "/dev/null"],
     ] {

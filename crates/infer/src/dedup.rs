@@ -307,24 +307,6 @@ impl DedupAcc {
         }
     }
 
-    /// Resume from a checkpointed schema and record count. The interner,
-    /// memo cache, and per-shape multiplicities restart cold — they are
-    /// pure performance state (the dedup route is byte-identical to the
-    /// plain fold by construction), so `distinct_shapes()` counts only
-    /// shapes seen since the resume. The schema sequence continues
-    /// exactly where the checkpoint left off.
-    pub fn resume(schema: &Type, records: u64) -> Self {
-        let mut interner = TypeInterner::new();
-        let schema = interner.intern(schema);
-        DedupAcc {
-            interner,
-            cache: FuseCache::new(),
-            schema,
-            counts: FxHashMap::default(),
-            records,
-        }
-    }
-
     /// Fold one inferred type in: intern it, bump its shape count, fuse
     /// its id into the running schema. Once the schema has saturated this
     /// is an interner lookup plus a memo hit per duplicate shape.
@@ -412,8 +394,9 @@ impl DedupAcc {
 
 /// The shape-dedup Reduce strategy as a pluggable [`Fuser`]: plug-in
 /// replacement for the plain/recorded strategies with byte-identical
-/// output, selected by `--dedup` in the CLI and by `SchemaJob::dedup` in
-/// the pipeline.
+/// output. The product's folds saturate instead
+/// ([`RecordedFuser`](crate::RecordedFuser)); this strategy remains for
+/// the bench harness and its differential tests.
 #[derive(Debug, Clone)]
 pub struct DedupFuser {
     cfg: FuseConfig,
@@ -591,29 +574,6 @@ mod tests {
         let mut cache = left.cache.clone();
         fuse_ids(cfg, &mut left.interner.clone(), &mut cache, a, b);
         assert_eq!(cache.hits, hits_before + 1, "translated memo entry hit");
-    }
-
-    #[test]
-    fn resume_continues_the_schema_sequence() {
-        let fuser = DedupFuser::plain(FuseConfig::default());
-        let types: Vec<Type> = values().iter().map(infer_type).collect();
-        let mut whole = fuser.empty();
-        for t in &types {
-            fuser.absorb_type(&mut whole, t);
-        }
-        // Checkpoint after two records, resume, absorb the rest: the
-        // final schema must be byte-identical to the uninterrupted fold.
-        let mut before = fuser.empty();
-        for t in &types[..2] {
-            fuser.absorb_type(&mut before, t);
-        }
-        let mut resumed = DedupAcc::resume(&before.schema(), before.records());
-        for t in &types[2..] {
-            fuser.absorb_type(&mut resumed, t);
-        }
-        assert_eq!(resumed.records(), whole.records());
-        assert_eq!(resumed.schema().to_string(), whole.schema().to_string());
-        assert_eq!(resumed.schema(), whole.schema());
     }
 
     #[test]

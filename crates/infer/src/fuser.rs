@@ -20,6 +20,7 @@
 
 use crate::fuse::{fuse_with, FuseConfig};
 use crate::fuse_inplace::fuse_into;
+use crate::incremental::Incremental;
 use crate::infer::infer_type;
 use crate::obs::union_width;
 use typefuse_json::Value;
@@ -84,12 +85,15 @@ impl Fuser for FuseConfig {
     }
 }
 
-/// [`FuseConfig`]'s strategy plus the pipeline's fusion metrics:
-/// `fuse.calls` and the `fuse.union_width` histogram, as emitted by
-/// [`fuse_with_recorded`](crate::fuse_with_recorded). Absorbing into the
-/// identity accumulator is a move, not a fusion, and is not counted —
-/// matching the engine's historical "fold from the first element"
-/// semantics.
+/// The product's strategy: an [`Incremental`] accumulator, so the
+/// cap-2 rule applies (each distinct type fused at most twice per
+/// accumulator), plus the pipeline's fusion metrics: `fuse.calls` and
+/// the `fuse.union_width` histogram for every fusion performed, as
+/// emitted by [`fuse_with_recorded`](crate::fuse_with_recorded), and
+/// `fuse.saturated` for every absorb the rule skipped. Absorbing into
+/// the identity accumulator, or merging with it, is a move, not a
+/// fusion, and is not counted — matching the engine's historical "fold
+/// from the first element" semantics.
 #[derive(Debug, Clone)]
 pub struct RecordedFuser {
     cfg: FuseConfig,
@@ -111,32 +115,35 @@ impl RecordedFuser {
 }
 
 impl Fuser for RecordedFuser {
-    type Acc = Type;
+    type Acc = Incremental;
 
-    fn empty(&self) -> Type {
-        Type::Bottom
+    fn empty(&self) -> Incremental {
+        Incremental::with_config(self.cfg)
     }
 
-    fn absorb_type(&self, acc: &mut Type, ty: &Type) {
-        if matches!(acc, Type::Bottom) {
-            *acc = ty.clone();
-            return;
+    fn absorb_type(&self, acc: &mut Incremental, ty: &Type) {
+        let moved = self.is_empty_acc(acc);
+        if !acc.absorb_type_ref(ty) {
+            self.rec.add("fuse.saturated", 1);
+        } else if !moved {
+            self.count(acc.schema());
         }
-        fuse_into(self.cfg, acc, ty);
-        self.count(acc);
     }
 
-    fn merge(&self, acc: &mut Type, other: &Type) {
-        *acc = fuse_with(self.cfg, acc, other);
-        self.count(acc);
+    fn merge(&self, acc: &mut Incremental, other: &Incremental) {
+        let moved = self.is_empty_acc(acc) || self.is_empty_acc(other);
+        acc.merge(other);
+        if !moved {
+            self.count(acc.schema());
+        }
     }
 
-    fn is_empty_acc(&self, acc: &Type) -> bool {
-        matches!(acc, Type::Bottom)
+    fn is_empty_acc(&self, acc: &Incremental) -> bool {
+        matches!(acc.schema(), Type::Bottom)
     }
 
-    fn finish_schema(&self, acc: Type) -> Type {
-        acc
+    fn finish_schema(&self, acc: Incremental) -> Type {
+        acc.into_schema()
     }
 }
 
@@ -191,6 +198,22 @@ mod tests {
         // First absorb is a move into ε, then two fusions.
         assert_eq!(rec.counter_value("fuse.calls"), 2);
         assert_eq!(fuser.finish_schema(acc), fuse_all(&types()));
+    }
+
+    #[test]
+    fn recorded_fuser_counts_saturated_absorbs() {
+        let rec = Recorder::enabled();
+        let fuser = RecordedFuser::new(FuseConfig::default(), rec.clone());
+        let ty = infer_type(&json!({"tags": [true]}));
+        let mut acc = fuser.empty();
+        for _ in 0..5 {
+            fuser.absorb_type(&mut acc, &ty);
+        }
+        // A move, one fusion, then three absorbs the cap-2 rule skips.
+        assert_eq!(rec.counter_value("fuse.calls"), 1);
+        assert_eq!(rec.counter_value("fuse.saturated"), 3);
+        assert_eq!(acc.count(), 5);
+        assert_eq!(fuser.finish_schema(acc), fuse_all(&vec![ty; 5]));
     }
 
     #[test]

@@ -8,12 +8,31 @@
 //! `schema ⊔ infer(record)`; merging two independently maintained schemas
 //! (e.g. one per partition of an updated dataset) is a single `Fuse` —
 //! exactly the maintenance story the paper gives for partitioned data.
+//!
+//! Every schema fold of the product runs through it, so it also owns the
+//! **cap-2 rule**: `F(F(F(S,T),T),T) = F(F(S,T),T)` (DESIGN.md §10), and
+//! fusion is commutative and associative, so the fused schema depends
+//! only on the set of distinct absorbed types, each counted at most
+//! twice. An accumulator counts the sightings of each type and fuses a
+//! type only on its first two; the third and later sightings only count
+//! the record.
+
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::Hasher;
 
 use crate::fuse::{fuse_with, FuseConfig};
 use crate::fuse_inplace::fuse_into;
 use crate::infer::infer_type;
 use typefuse_json::Value;
+use typefuse_types::intern::FxHasher;
 use typefuse_types::Type;
+
+/// Type nodes a per-accumulator memo may store: the sightings of an
+/// [`Incremental`] and the signature cache of a
+/// [`ShapeCache`](crate::ShapeCache). Past it a memo stops inserting,
+/// which costs speed, never exactness.
+pub const NODE_BUDGET: usize = 1 << 16;
 
 /// A running fused schema over a stream of JSON values.
 ///
@@ -27,11 +46,129 @@ use typefuse_types::Type;
 /// assert_eq!(inc.schema().to_string(), "{a: Num + Str, b: Bool?}");
 /// assert_eq!(inc.count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Incremental {
     schema: Type,
     count: u64,
     config: FuseConfig,
+    /// Performance state only: `merge`, `resume`, equality and
+    /// checkpoints ignore it. A merged or resumed accumulator may fuse a
+    /// type up to twice more, which the cap-2 law makes harmless.
+    seen: Sightings,
+}
+
+/// Sightings per distinct absorbed type, saturating at 2, within
+/// [`NODE_BUDGET`] stored type nodes. A type not stored is fused on every
+/// sighting, which is the plain fold.
+///
+/// A type is stored as its [`encode`]d bytes, one allocation per type,
+/// not as a deep clone: clones of the first types interleave with the
+/// running schema's nodes on the heap and slow every later fusion, which
+/// walks the schema. At most [`SAME_HASH`] types are stored per hash
+/// value, so input crafted to collide cannot turn a lookup into a scan.
+#[derive(Clone, Default)]
+struct Sightings {
+    counts: HashMap<u64, Vec<Stored>>,
+    nodes: usize,
+    /// The encoding of the type being looked up, reused across absorbs.
+    key: Vec<u8>,
+}
+
+/// An encoded type and its sightings so far (1 or 2).
+type Stored = (Box<[u8]>, u8);
+
+/// Types stored per hash value.
+const SAME_HASH: usize = 2;
+
+impl Sightings {
+    /// Note one sighting of `ty`; whether it still has to be fused.
+    fn fuse(&mut self, ty: &Type) -> bool {
+        self.key.clear();
+        let nodes = encode(ty, &mut self.key);
+        let mut hasher = FxHasher::default();
+        hasher.write(&self.key);
+        let hash = hasher.finish();
+        let key = &self.key[..];
+        let seen = self
+            .counts
+            .get_mut(&hash)
+            .and_then(|same| same.iter_mut().find(|(seen, _)| **seen == *key));
+        match seen {
+            Some((_, n)) if *n >= 2 => return false,
+            Some((_, n)) => *n += 1,
+            None if self.nodes < NODE_BUDGET => {
+                let same = self.counts.entry(hash).or_default();
+                if same.len() < SAME_HASH {
+                    self.nodes += nodes;
+                    same.push((key.into(), 1));
+                }
+            }
+            None => {}
+        }
+        true
+    }
+}
+
+/// Append a prefix-free byte encoding of `ty` to `out`, so two types are
+/// equal exactly when their encodings are; returns the type's node count
+/// ([`Type::size`]).
+fn encode(ty: &Type, out: &mut Vec<u8>) -> usize {
+    fn len(n: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(n as u64).to_le_bytes());
+    }
+    match ty {
+        Type::Bottom => out.push(0),
+        Type::Null => out.push(1),
+        Type::Bool => out.push(2),
+        Type::Num => out.push(3),
+        Type::Str => out.push(4),
+        Type::Record(record) => {
+            out.push(5);
+            len(record.fields().len(), out);
+            let mut nodes = 1;
+            for field in record.fields() {
+                len(field.name.len(), out);
+                out.extend_from_slice(field.name.as_bytes());
+                out.push(u8::from(field.optional));
+                nodes += 1 + encode(&field.ty, out);
+            }
+            return nodes;
+        }
+        Type::Array(array) => {
+            out.push(6);
+            len(array.len(), out);
+            return 1 + array.elems().iter().map(|e| encode(e, out)).sum::<usize>();
+        }
+        Type::Star(body) => {
+            out.push(7);
+            return 1 + encode(body, out);
+        }
+        Type::Union(union) => {
+            out.push(8);
+            len(union.addends().len(), out);
+            return 1 + union
+                .addends()
+                .iter()
+                .map(|a| encode(a, out))
+                .sum::<usize>();
+        }
+    }
+    1
+}
+
+impl fmt::Debug for Sightings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Sightings")
+            .field("types", &self.counts.values().map(Vec::len).sum::<usize>())
+            .field("nodes", &self.nodes)
+            .finish()
+    }
+}
+
+impl PartialEq for Incremental {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.count == other.count && self.config == other.config
+    }
 }
 
 impl Default for Incremental {
@@ -49,11 +186,7 @@ impl Incremental {
 
     /// An empty accumulator with an explicit fusion configuration.
     pub fn with_config(config: FuseConfig) -> Self {
-        Incremental {
-            schema: Type::Bottom,
-            count: 0,
-            config,
-        }
+        Self::resume(Type::Bottom, 0, config)
     }
 
     /// Resume from a previously computed schema (e.g. loaded from disk)
@@ -68,6 +201,7 @@ impl Incremental {
             schema,
             count,
             config,
+            seen: Sightings::default(),
         }
     }
 
@@ -88,9 +222,16 @@ impl Incremental {
     }
 
     /// [`absorb_type`](Incremental::absorb_type) for a borrowed type.
-    pub fn absorb_type_ref(&mut self, ty: &Type) {
-        fuse_into(self.config, &mut self.schema, ty);
+    /// Returns whether the type was fused: `false` when this accumulator
+    /// had already fused it twice (the cap-2 rule), so only the record
+    /// was counted.
+    pub fn absorb_type_ref(&mut self, ty: &Type) -> bool {
         self.count += 1;
+        if !self.seen.fuse(ty) {
+            return false;
+        }
+        fuse_into(self.config, &mut self.schema, ty);
+        true
     }
 
     /// Merge another accumulator (e.g. from a different partition). Thanks
@@ -216,5 +357,94 @@ mod tests {
         assert_eq!(maintained.schema(), full.schema());
         // The old content of the updated partition never mattered.
         let _ = updated_old;
+    }
+
+    #[test]
+    fn third_sightings_are_counted_not_fused() {
+        // `[Bool] ⊔ [Bool]` collapses to `[Bool*]`: the second sighting
+        // still changes the schema, the third cannot.
+        let ty = crate::infer_type(&json!([true]));
+        let mut inc = Incremental::new();
+        let fused: Vec<bool> = (0..5).map(|_| inc.absorb_type_ref(&ty)).collect();
+        assert_eq!(fused, [true, true, false, false, false]);
+        assert_eq!(inc.schema().to_string(), "[Bool*]");
+        assert_eq!(inc.count(), 5);
+        assert_eq!(
+            inc.schema(),
+            &crate::fuse_all(&vec![ty; 5]),
+            "the spec fold of all five"
+        );
+    }
+
+    #[test]
+    fn past_the_budget_every_unseen_type_is_fused() {
+        // Positional arrays of length 1..=400 hold about 80K type nodes:
+        // the first ~360 are stored, the rest are fused on every sighting.
+        // Either way the schema is the spec fold of every record.
+        let types: Vec<Type> = (1..=400)
+            .map(|n| crate::infer_type(&Value::Array(vec![json!(1); n])))
+            .collect();
+        let all: Vec<Type> = types.iter().chain(&types).chain(&types).cloned().collect();
+        let mut inc = Incremental::new();
+        let skipped = all.iter().filter(|ty| !inc.absorb_type_ref(ty)).count();
+        assert!(inc.seen.nodes >= NODE_BUDGET, "{:?}", inc.seen);
+        assert!(inc.seen.nodes <= NODE_BUDGET + 401, "{:?}", inc.seen);
+        assert!(skipped > 0 && skipped < types.len(), "{skipped} skipped");
+        let stored: usize = inc.seen.counts.values().map(Vec::len).sum();
+        assert_eq!(skipped, stored, "the third sightings of the stored types");
+        assert_eq!(inc.schema(), &crate::fuse_all(&all));
+        assert_eq!(inc.count(), all.len() as u64);
+    }
+
+    fn encoded(t: &Type) -> (Vec<u8>, usize) {
+        let mut out = Vec::new();
+        let nodes = encode(t, &mut out);
+        (out, nodes)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_encoding_is_injective_and_counts_nodes(
+            a in typefuse_types::testkit::arb_type(),
+            b in typefuse_types::testkit::arb_type(),
+        ) {
+            let (ea, na) = encoded(&a);
+            proptest::prop_assert_eq!(na, a.size());
+            proptest::prop_assert_eq!(ea == encoded(&b).0, a == b);
+        }
+    }
+
+    #[test]
+    fn names_flags_and_nesting_are_part_of_the_encoding() {
+        for (a, b) in [
+            ("{a: Num}", "{b: Num}"),
+            ("{a: Num}", "{a: Num?}"),
+            ("{ab: Num}", "{a: Num, b: Num}"),
+            ("[Num, Str]", "[Num + Str]"),
+            ("[Num*]", "[Num]"),
+        ] {
+            let (a, b) = (
+                typefuse_types::parse_type(a).unwrap(),
+                typefuse_types::parse_type(b).unwrap(),
+            );
+            assert_ne!(encoded(&a).0, encoded(&b).0, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn sightings_are_not_part_of_the_value() {
+        let ty = crate::infer_type(&json!({"a": [1]}));
+        let mut warm = Incremental::new();
+        for _ in 0..3 {
+            warm.absorb_type_ref(&ty);
+        }
+        let cold = Incremental::resume(warm.schema().clone(), warm.count(), warm.config());
+        assert_eq!(warm, cold, "equality ignores the sightings");
+        // A merged accumulator fuses the type up to twice more: same
+        // schema by the cap-2 law.
+        let mut merged = cold.clone();
+        merged.merge(&warm);
+        merged.absorb_type_ref(&ty);
+        assert_eq!(merged.schema(), warm.schema());
     }
 }

@@ -19,16 +19,15 @@
 //!   positional-when-aligned variant used by the precision/succinctness
 //!   ablation bench;
 //! * [`Incremental`] — the incremental schema maintenance sketched in
-//!   Section 7 ("fusion is incremental by essence");
+//!   Section 7 ("fusion is incremental by essence"), which fuses each
+//!   distinct type at most twice (the cap-2 rule, DESIGN.md §10);
 //! * [`profile`] — the statistics enrichment named as future work in
 //!   Section 7, grown into a full data-plane profiler: per-path presence,
 //!   kind histograms, length/numeric statistics and provenance lines
 //!   (which input line introduced each union branch, which one demoted a
 //!   field to optional), mergeable with the same monoid laws as fusion;
-//! * [`dedup`] — the shape-dedup Reduce: hash-consed interning plus
-//!   weighted, memoized fusion, which the idempotence/commutativity/
-//!   associativity theorems (5.3–5.5) license to fuse each *distinct*
-//!   shape once instead of every value.
+//! * [`dedup`] — the memoized shape-dedup Reduce over hash-consed type
+//!   ids, which the bench harness times against the cap-2 fold.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +49,7 @@ pub use dedup::{fuse_ids, DedupAcc, DedupFuser, FuseCache};
 pub use fuse::{collapse, fuse, fuse_all, fuse_with, kinds_present, ArrayFusion, FuseConfig};
 pub use fuse_inplace::fuse_into;
 pub use fuser::{Fuser, RecordedFuser};
-pub use incremental::Incremental;
+pub use incremental::{Incremental, NODE_BUDGET};
 pub use infer::infer_type;
 pub use maplike::{find_map_like, MapLikeConfig, MapLikeSite};
 pub use obs::{fuse_with_recorded, infer_type_recorded};

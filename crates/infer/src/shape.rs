@@ -7,9 +7,10 @@
 //! record's structural skeleton straight off the stage-1
 //! [`scan`](mod@typefuse_json::scan) index (punctuation and key bytes
 //! verbatim, value bytes masked to their kind), and [`ShapeCache`] memoizes
-//! signature → inferred [`Type`], backed by the hash-consing
-//! [`TypeInterner`]. A hit skips event parsing and inference entirely; a
-//! miss replays the ordinary event fold and inserts.
+//! signature → inferred [`Type`] within a budget of
+//! [`NODE_BUDGET`] stored type nodes. A hit skips event parsing and
+//! inference entirely; a miss replays the ordinary event fold and
+//! inserts while the budget lasts.
 //!
 //! # Signature definition
 //!
@@ -58,8 +59,9 @@ use typefuse_json::scan::{scan_into, tokens, ScanIndex, Token};
 use typefuse_json::{ParserOptions, Result};
 use typefuse_obs::Recorder;
 use typefuse_types::intern::{FxHashMap, FxHasher};
-use typefuse_types::{Type, TypeId, TypeInterner};
+use typefuse_types::Type;
 
+use crate::incremental::NODE_BUDGET;
 use crate::streaming;
 
 /// Compute the raw-shape signature of one JSON record, or `None` when
@@ -274,18 +276,19 @@ fn hex4(s: &[u8], at: usize) -> Option<u32> {
 
 /// Signature → inferred-type memo for the `MapPath::Shape` route.
 ///
-/// One instance per partition (or per `serve` source): lookups and the
-/// hit/miss counters are then deterministic for a fixed partitioning.
-/// Interning the cached types through the shared hash-consing
-/// [`TypeInterner`] keeps structurally equal types (reached via
-/// different signatures) at one allocation.
+/// One instance per fold worker. The cached types hold at most about
+/// [`NODE_BUDGET`] type nodes: once they reach it, first-seen signatures
+/// are no longer inserted and replay the event fold on every sighting,
+/// so memory stays bounded however many raw shapes the input has.
 #[derive(Debug, Default)]
 pub struct ShapeCache {
-    interner: TypeInterner,
-    map: FxHashMap<u64, (TypeId, Type)>,
+    map: FxHashMap<u64, Type>,
+    /// Type nodes held by `map`.
+    nodes: usize,
     scratch: ScanIndex,
-    /// Holds the fold result of an unsignable-but-successful record so
-    /// [`ShapeCache::infer_line_ref`] can hand out a reference for it.
+    /// Holds the fold result of a record that is not cached (unsignable,
+    /// or first seen past the budget) so [`ShapeCache::infer_line_ref`]
+    /// can hand out a reference for it.
     spill: Option<Type>,
     hits: u64,
     misses: u64,
@@ -306,7 +309,7 @@ impl ShapeCache {
     /// unsignable record — replays
     /// [`streaming::infer_with_options_recorded`] so results and errors
     /// are byte-identical to the events route; only successful folds of
-    /// signable records are inserted.
+    /// signable records are inserted, while the node budget lasts.
     pub fn infer_line(
         &mut self,
         input: &[u8],
@@ -337,7 +340,7 @@ impl ShapeCache {
         match self.map.entry(sig) {
             Entry::Occupied(slot) => {
                 self.hits += 1;
-                let (_, ty) = slot.into_mut();
+                let ty = slot.into_mut();
                 if rec.is_enabled() {
                     rec.add("infer.types", 1);
                     if let Type::Record(r) = ty {
@@ -350,9 +353,11 @@ impl ShapeCache {
             Entry::Vacant(slot) => {
                 self.misses += 1;
                 let ty = streaming::infer_with_options_recorded(input, options.clone(), rec)?;
-                let id = self.interner.intern(&ty);
-                let (_, ty) = slot.insert((id, ty));
-                Ok(ty)
+                if self.nodes >= NODE_BUDGET {
+                    return Ok(self.spill.insert(ty));
+                }
+                self.nodes += ty.size();
+                Ok(slot.insert(ty))
             }
         }
     }
@@ -507,5 +512,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_full_cache_stops_inserting_and_stays_exact() {
+        // Positional arrays of length 1..=400 hold about 80K type nodes,
+        // more than the budget: the late lengths replay the fold on
+        // every sighting and still return the fold's type.
+        let mut cache = ShapeCache::new();
+        let rec = Recorder::disabled();
+        let opts = ParserOptions::default();
+        let lines: Vec<String> = (1..=400)
+            .map(|n| format!("[{}]", vec!["1"; n].join(",")))
+            .collect();
+        for line in lines.iter().chain(&lines) {
+            let ty = cache.infer_line(line.as_bytes(), &opts, &rec).unwrap();
+            assert_eq!(ty, streaming::infer_type_from_str(line).unwrap());
+        }
+        assert!(cache.nodes >= NODE_BUDGET && cache.nodes <= NODE_BUDGET + 401);
+        let stored = cache.distinct() as u64;
+        assert!(stored < 400, "{stored} signatures cached");
+        assert_eq!(cache.hits(), stored, "only cached signatures hit");
+        assert_eq!(cache.misses(), 800 - stored);
     }
 }

@@ -12,11 +12,38 @@
 //! * Idempotence: `Fuse(T,T) = T` (not stated in the paper but implied by
 //!   its examples, and required for the reduce to be stable under
 //!   duplicated partitions).
+//! * The cap-2 law: `Fuse(Fuse(Fuse(S,T),T),T) = Fuse(Fuse(S,T),T)`
+//!   under both array strategies (DESIGN.md §10), so a fold may skip a
+//!   type it has fused twice.
 
 use proptest::prelude::*;
-use typefuse_infer::{fuse, fuse_all, infer_type, Incremental};
+use typefuse_infer::{fuse, fuse_all, fuse_with, infer_type, ArrayFusion, FuseConfig, Incremental};
 use typefuse_types::testkit::{arb_type, arb_value, sample_member};
-use typefuse_types::{is_subtype, Type};
+use typefuse_types::{is_subtype, parse_type, Type};
+
+fn fuse_config(positional: bool) -> FuseConfig {
+    FuseConfig {
+        array_fusion: if positional {
+            ArrayFusion::PositionalWhenAligned
+        } else {
+            ArrayFusion::Collapse
+        },
+    }
+}
+
+// The cap-2 law needs the second fusion: once is not enough, because a
+// positional array collapses to its star the second time it meets
+// itself.
+#[test]
+fn two_step_saturation_fails_on_a_positional_array() {
+    let t = parse_type("[Bool]").unwrap();
+    let once = fuse(&Type::Bottom, &t);
+    let twice = fuse(&once, &t);
+    assert_eq!(once.to_string(), "[Bool]");
+    assert_eq!(twice.to_string(), "[Bool*]");
+    assert_ne!(twice, once);
+    assert_eq!(fuse(&twice, &t), twice, "the third fusion changes nothing");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -105,6 +132,39 @@ proptest! {
         let stable = fuse(&once, &once);
         prop_assert_eq!(fuse(&stable, &once), stable.clone());
         prop_assert_eq!(fuse(&stable, &stable), stable);
+    }
+
+    // ---- The cap-2 law (DESIGN.md §10) --------------------------------------
+
+    #[test]
+    fn a_third_fusion_changes_nothing(s in arb_type(), t in arb_type(), positional in any::<bool>()) {
+        let cfg = fuse_config(positional);
+        let twice = fuse_with(cfg, &fuse_with(cfg, &s, &t), &t);
+        prop_assert_eq!(fuse_with(cfg, &twice, &t), twice);
+    }
+
+    // What the product runs: an `Incremental` that skips third
+    // sightings, over a stream with repeats interleaved, equals the spec
+    // fold of every record.
+    #[test]
+    fn saturating_fold_equals_the_spec_fold(
+        values in prop::collection::vec(arb_value(), 1..8),
+        repeats in prop::collection::vec(any::<prop::sample::Index>(), 0..24),
+        positional in any::<bool>(),
+    ) {
+        let cfg = fuse_config(positional);
+        let mut types: Vec<Type> = values.iter().map(infer_type).collect();
+        for i in &repeats {
+            let ty = types[i.index(values.len())].clone();
+            types.insert(i.index(types.len() + 1), ty);
+        }
+        let spec = types.iter().fold(Type::Bottom, |acc, t| fuse_with(cfg, &acc, t));
+        let mut inc = Incremental::with_config(cfg);
+        for t in &types {
+            inc.absorb_type_ref(t);
+        }
+        prop_assert_eq!(inc.schema(), &spec);
+        prop_assert_eq!(inc.count(), types.len() as u64);
     }
 
     // ---- End-to-end: values in, one schema out ----------------------------

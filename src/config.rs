@@ -1,17 +1,12 @@
 //! [`JobConfig`]: the one builder every inference entry point shares.
 //!
-//! [`SchemaJob`] accreted a knob per PR — workers, partitions, map
-//! route, dedup mode, error policy, retries, parser limits, chaos
-//! hooks — each with its own chained setter, and every consumer
-//! (`infer`, `stats`, `check`, `bench`, and now the resident `serve`
-//! daemon) re-plumbed the subset it knew about. `JobConfig` collapses
-//! that accretion into a single declarative configuration with
-//! [`Default`]: build one, hand copies to batch jobs
-//! ([`JobConfig::build`]) and to warm incremental accumulators alike,
-//! and every consumer honors the same options the same way.
-//!
-//! The old per-call setters on [`SchemaJob`] are deprecated; they
-//! survive one release for migration.
+//! Every knob of a [`SchemaJob`] — workers, partitions, map route,
+//! error policy, retries, parser limits, chaos hooks — is set here, in
+//! one declarative configuration with [`Default`]: build one, hand
+//! copies to batch jobs ([`JobConfig::build`]) and to warm incremental
+//! accumulators alike, and every consumer (`infer`, `stats`, `check`,
+//! `bench`, the resident `serve` daemon) honors the same options the
+//! same way.
 //!
 //! ```
 //! use typefuse::prelude::*;
@@ -23,7 +18,7 @@
 //! ```
 
 use crate::faults::ErrorPolicy;
-use crate::pipeline::{DedupMode, MapPath, SchemaJob};
+use crate::pipeline::{MapPath, SchemaJob};
 use typefuse_engine::{ReducePlan, Runtime};
 use typefuse_infer::FuseConfig;
 use typefuse_json::{ParserOptions, RetryPolicy};
@@ -48,8 +43,6 @@ pub struct JobConfig {
     pub fuse_config: FuseConfig,
     /// Map-phase route for text sources.
     pub map_path: MapPath,
-    /// Reduce-phase shape dedup mode.
-    pub dedup: DedupMode,
     /// Collect per-record type statistics (on by default; turn off for
     /// maximum throughput).
     pub type_stats: Option<bool>,
@@ -100,12 +93,6 @@ impl JobConfig {
     /// Set the Map-phase route for text sources.
     pub fn map_path(mut self, path: MapPath) -> Self {
         self.map_path = path;
-        self
-    }
-
-    /// Set the Reduce-phase dedup mode.
-    pub fn dedup(mut self, mode: DedupMode) -> Self {
-        self.dedup = mode;
         self
     }
 
@@ -171,7 +158,6 @@ impl JobConfig {
             reduce_plan: self.reduce_plan,
             fuse_config: self.fuse_config,
             map_path: self.map_path,
-            dedup: self.dedup,
             collect_type_stats: self.type_stats.unwrap_or(true),
             recorder: self.recorder.clone(),
             error_policy: self.error_policy.clone(),
@@ -203,7 +189,6 @@ mod tests {
         assert_eq!(built.reduce_plan, legacy.reduce_plan);
         assert_eq!(built.fuse_config, legacy.fuse_config);
         assert_eq!(built.map_path, legacy.map_path);
-        assert_eq!(built.dedup, legacy.dedup);
         assert_eq!(built.collect_type_stats, legacy.collect_type_stats);
         assert_eq!(built.max_line_bytes, legacy.max_line_bytes);
         assert_eq!(built.chaos_panic_at, legacy.chaos_panic_at);
@@ -215,7 +200,6 @@ mod tests {
             .workers(2)
             .partitions(7)
             .map_path(MapPath::Values)
-            .dedup(DedupMode::On)
             .without_type_stats()
             .max_depth(9)
             .max_line_bytes(1024)
@@ -224,7 +208,6 @@ mod tests {
         assert_eq!(job.runtime.workers(), 2);
         assert_eq!(job.partitions, 7);
         assert_eq!(job.map_path, MapPath::Values);
-        assert_eq!(job.dedup, DedupMode::On);
         assert!(!job.collect_type_stats);
         assert_eq!(job.parser_options.max_depth, 9);
         assert_eq!(job.max_line_bytes, Some(1024));

@@ -9,8 +9,8 @@
 //! of how the input was partitioned. The [`ErrorPolicy`] on
 //! `SchemaJob` exploits this, and the [`ErrorReport`] collected along
 //! the way is itself a commutative monoid — like the fused types — so
-//! the reported errors are byte-identical across worker counts, map
-//! paths, and dedup settings.
+//! the reported errors are byte-identical across worker counts and map
+//! paths.
 //!
 //! * [`ErrorPolicy::FailFast`] — stop at the earliest bad record
 //!   (default; byte-identical to the pre-policy behaviour).

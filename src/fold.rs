@@ -19,8 +19,8 @@
 //!
 //! The fold owns everything a line goes through before it is a record;
 //! an [`Accumulator`] owns only what a record is folded into. The schema
-//! fold of [`SchemaJob::run`] (plain, dedup or `--dedup auto`, the shape
-//! cache and the `--stats` tally) and the profiled fold of
+//! fold of [`SchemaJob::run`] (the cap-2 [`Incremental`], the shape cache
+//! and the `--stats` tally) and the profiled fold of
 //! [`SchemaJob::run_profiled`] are two accumulators; `check`, `stats` and
 //! `query` bring their own.
 //!
@@ -42,17 +42,16 @@
 use std::collections::HashSet;
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::error::{Error, IoSite};
 use crate::faults::{BadRecord, ErrorReport};
-use crate::pipeline::{DedupMode, DedupSampler, MapPath, SchemaJob, TypeStats};
+use crate::pipeline::{MapPath, SchemaJob, TypeStats};
 use typefuse_engine::{panic_message, StageMetrics, TaskMetrics, WorkerPanic};
 use typefuse_infer::{
-    infer_type_recorded, streaming, DedupAcc, Fuser, ProfileAcc, RecordedFuser, ShapeCache,
+    infer_type_recorded, streaming, Fuser, Incremental, ProfileAcc, RecordedFuser, ShapeCache,
 };
 use typefuse_json::ndjson::read_line_bounded;
 use typefuse_json::{ErrorKind, Parser, Position};
@@ -380,42 +379,6 @@ fn read_slabs(
     Ok(slabs)
 }
 
-/// The `--dedup auto` decision, shared by the workers: they feed the
-/// first records' types to one [`DedupSampler`], and once it rules for
-/// dedup every worker switches at its next record.
-#[derive(Default)]
-struct AutoDedup {
-    sampler: Mutex<DedupSampler>,
-    verdict: AtomicU8,
-}
-
-impl AutoDedup {
-    const OPEN: u8 = 0;
-    const PLAIN: u8 = 1;
-    const DEDUP: u8 = 2;
-
-    /// Observe one type; whether the run should now be on dedup.
-    fn observe(&self, ty: &Type) -> bool {
-        match self.verdict.load(Ordering::Relaxed) {
-            Self::PLAIN => false,
-            Self::DEDUP => true,
-            _ => {
-                let mut sampler = self.sampler.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(dedup) = sampler.observe(ty) {
-                    let verdict = if dedup { Self::DEDUP } else { Self::PLAIN };
-                    let _ = self.verdict.compare_exchange(
-                        Self::OPEN,
-                        verdict,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
-                }
-                self.verdict.load(Ordering::Relaxed) == Self::DEDUP
-            }
-        }
-    }
-}
-
 /// One worker's accumulators, and what it hands back.
 struct WorkerOut<A> {
     acc: A,
@@ -494,82 +457,42 @@ impl<A: Accumulator> WorkerOut<A> {
     }
 }
 
-/// What every worker's [`SchemaAcc`] shares: the recorded fuser and the
-/// `--dedup auto` decision.
-pub(crate) struct SchemaShared<'j> {
+/// The schema fold: every record's type, inferred through the job's map
+/// path and fused into an [`Incremental`] (the cap-2 rule: each distinct
+/// type fused at most twice per worker), plus the `--stats` tally.
+pub(crate) struct SchemaAcc<'j> {
     job: &'j SchemaJob,
     fuser: RecordedFuser,
-    auto: Option<AutoDedup>,
-}
-
-impl<'j> SchemaShared<'j> {
-    pub(crate) fn new(job: &'j SchemaJob) -> Self {
-        SchemaShared {
-            job,
-            fuser: RecordedFuser::new(job.fuse_config, job.recorder.clone()),
-            auto: (job.dedup == DedupMode::Auto).then(AutoDedup::default),
-        }
-    }
-
-    /// An empty accumulator for one worker.
-    pub(crate) fn acc(&self) -> SchemaAcc<'_> {
-        let job = self.job;
-        SchemaAcc {
-            shared: self,
-            fused: match job.dedup {
-                DedupMode::On => Fused::Dedup(DedupAcc::new()),
-                DedupMode::Auto | DedupMode::Off => Fused::Plain(Type::Bottom),
-            },
-            cache: (job.map_path == MapPath::Shape).then(ShapeCache::new),
-            stats: job.collect_type_stats.then(Tally::default),
-            records: 0,
-            plain_fusions: 0,
-        }
-    }
-}
-
-/// The schema fold: every record's type, inferred through the job's map
-/// path, fused on the plain or the dedup route.
-pub(crate) struct SchemaAcc<'a> {
-    shared: &'a SchemaShared<'a>,
-    fused: Fused,
+    schema: Incremental,
     cache: Option<ShapeCache>,
     stats: Option<Tally>,
-    records: u64,
-    /// Fusions done on the plain route before `--dedup auto` moved this
-    /// worker to dedup; they count as memo misses.
-    plain_fusions: u64,
 }
 
-/// The schema so far, on one of the two Reduce routes.
-enum Fused {
-    /// Figure 6 fusion into a bare type.
-    Plain(Type),
-    /// The shape-dedup route (hash-consed, memoized fusion).
-    Dedup(DedupAcc),
-}
+impl<'j> SchemaAcc<'j> {
+    /// An empty accumulator for one worker.
+    pub(crate) fn new(job: &'j SchemaJob) -> Self {
+        let fuser = RecordedFuser::new(job.fuse_config, job.recorder.clone());
+        SchemaAcc {
+            job,
+            schema: fuser.empty(),
+            fuser,
+            cache: (job.map_path == MapPath::Shape).then(ShapeCache::new),
+            stats: job.collect_type_stats.then(Tally::default),
+        }
+    }
 
-impl SchemaAcc<'_> {
-    /// The fused schema and the `--stats` columns. The dedup route also
-    /// reports its counters.
+    /// The fused schema and the `--stats` columns.
     pub(crate) fn finish(self) -> (Type, TypeStats) {
-        let rec = &self.shared.job.recorder;
-        let schema = match self.fused {
-            Fused::Plain(schema) => schema,
-            Fused::Dedup(acc) => {
-                rec.add("infer.dedup", 1);
-                acc.flush_counters(rec);
-                acc.schema()
-            }
-        };
-        (schema, self.stats.map(Tally::finish).unwrap_or_default())
+        (
+            self.schema.into_schema(),
+            self.stats.map(Tally::finish).unwrap_or_default(),
+        )
     }
 }
 
 impl Accumulator for SchemaAcc<'_> {
     fn absorb(&mut self, _line: u64, text: &str) -> typefuse_json::Result<()> {
-        let shared = self.shared;
-        let job = shared.job;
+        let job = self.job;
         let (rec, options) = (&job.recorder, &job.parser_options);
         let owned;
         let ty: &Type = match job.map_path {
@@ -593,62 +516,18 @@ impl Accumulator for SchemaAcc<'_> {
         if let Some(stats) = &mut self.stats {
             stats.observe(ty);
         }
-        self.records += 1;
-        match &mut self.fused {
-            Fused::Dedup(dedup) => dedup.absorb_type(job.fuse_config, ty),
-            Fused::Plain(schema) => {
-                if !matches!(schema, Type::Bottom) {
-                    self.plain_fusions += 1;
-                }
-                shared.fuser.absorb_type(schema, ty);
-                if shared.auto.as_ref().is_some_and(|auto| auto.observe(ty)) {
-                    rec.add("fuse.cache_misses", self.plain_fusions);
-                    self.fused = Fused::Dedup(DedupAcc::resume(schema, self.records));
-                }
-            }
-        }
+        self.fuser.absorb_type(&mut self.schema, ty);
         Ok(())
     }
 
     fn merge(&mut self, other: Self) {
-        let shared = self.shared;
-        let cfg = shared.job.fuse_config;
         if let Some(mut cache) = other.cache {
-            cache.flush_counters(&shared.job.recorder);
+            cache.flush_counters(&self.job.recorder);
         }
-        let mine = std::mem::replace(&mut self.fused, Fused::Plain(Type::Bottom));
-        self.fused = match (mine, other.fused) {
-            (Fused::Plain(mut a), Fused::Plain(b)) => {
-                if matches!(a, Type::Bottom) {
-                    a = b;
-                } else if !matches!(b, Type::Bottom) {
-                    shared.fuser.merge(&mut a, &b);
-                }
-                Fused::Plain(a)
-            }
-            (Fused::Dedup(mut a), Fused::Dedup(b)) => {
-                a.merge(cfg, &b);
-                Fused::Dedup(a)
-            }
-            // `--dedup auto` switched one side only: the plain partial
-            // joins the dedup one as a resumed accumulator.
-            (Fused::Dedup(mut d), Fused::Plain(p)) => {
-                if !matches!(p, Type::Bottom) {
-                    d.merge(cfg, &DedupAcc::resume(&p, other.records));
-                }
-                Fused::Dedup(d)
-            }
-            (Fused::Plain(p), Fused::Dedup(mut d)) => {
-                if !matches!(p, Type::Bottom) {
-                    d.merge(cfg, &DedupAcc::resume(&p, self.records));
-                }
-                Fused::Dedup(d)
-            }
-        };
+        self.fuser.merge(&mut self.schema, &other.schema);
         if let (Some(stats), Some(other)) = (&mut self.stats, other.stats) {
             stats.merge(other);
         }
-        self.records += other.records;
     }
 }
 
@@ -769,8 +648,7 @@ mod tests {
         input: &mut dyn BufRead,
         slab_bytes: usize,
     ) -> Result<Folded<String>, Error> {
-        let shared = SchemaShared::new(job);
-        let folded = fold_with(job, input, slab_bytes, || shared.acc())?;
+        let folded = fold_with(job, input, slab_bytes, || SchemaAcc::new(job))?;
         Ok(printed(folded, |acc| acc.finish().0))
     }
 
@@ -842,6 +720,37 @@ mod tests {
                     assert_eq!(folded.acc, whole.acc, "{label}");
                     assert_eq!(folded.records, whole.records, "{label}");
                     assert_eq!(folded.errors, whole.errors, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_schema_is_invariant_to_slabs_and_workers() {
+        // Three types, each seen twenty times, two of them with arrays
+        // that collapse on their second fusion: wherever the slabs cut
+        // and however many workers fold them (each skipping the types
+        // it has fused twice), the schema is the spec fold.
+        let text: String = (0..60)
+            .map(|i| match i % 3 {
+                0 => "{\"a\":[true]}\n",
+                1 => "{\"a\":[1,2],\"b\":null}\n",
+                _ => "[\"x\",{\"c\":1}]\n",
+            })
+            .collect();
+        let types: Vec<Type> = text
+            .lines()
+            .map(|line| typefuse_infer::infer_type(&typefuse_json::parse_value(line).unwrap()))
+            .collect();
+        let spec = typefuse_infer::fuse_all(&types).to_string();
+        for slab_bytes in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 2000] {
+            for workers in [1, 2, 4] {
+                for path in [MapPath::Events, MapPath::Values, MapPath::Shape] {
+                    let job = JobConfig::new().workers(workers).map_path(path).build();
+                    let folded = fold_text(&job, &text, slab_bytes).unwrap();
+                    let label = format!("{slab_bytes} B, {workers}w, {path:?}");
+                    assert_eq!(folded.acc, spec, "{label}");
+                    assert_eq!(folded.records, 60, "{label}");
                 }
             }
         }

@@ -61,9 +61,7 @@ pub mod prelude {
     pub use crate::config::JobConfig;
     pub use crate::error::Error;
     pub use crate::faults::{ErrorPolicy, ErrorReport, RetryPolicy};
-    pub use crate::pipeline::{
-        DedupMode, MapPath, ProfiledResult, SchemaJob, SchemaResult, Source,
-    };
+    pub use crate::pipeline::{MapPath, ProfiledResult, SchemaJob, SchemaResult, Source};
     pub use typefuse_datagen::{DatasetProfile, Profile};
     pub use typefuse_engine::{Dataset, ReducePlan, Runtime};
     pub use typefuse_infer::{fuse, infer_type, Incremental, ProfileReport, Profiling};

@@ -40,11 +40,10 @@ use std::time::{Duration, Instant};
 
 use crate::error::Error;
 use crate::faults::{ErrorPolicy, ErrorReport};
-use crate::fold::{self, ProfiledAcc, SchemaShared, Tally};
+use crate::fold::{self, ProfiledAcc, SchemaAcc, Tally};
 use typefuse_engine::{Dataset, ReducePlan, Runtime, StageMetrics, WorkerPanic};
 use typefuse_infer::{
-    infer_type_recorded, DedupFuser, FuseConfig, ProfileAcc, ProfileReport, Profiling,
-    RecordedFuser,
+    infer_type_recorded, FuseConfig, ProfileAcc, ProfileReport, Profiling, RecordedFuser,
 };
 use typefuse_json::{ParserOptions, RetryPolicy, Value};
 use typefuse_obs::{Recorder, RunReport};
@@ -109,70 +108,23 @@ pub enum MapPath {
     Shape,
 }
 
-/// Whether the Reduce phase rides the shape-dedup route
-/// ([`DedupFuser`]): hash-consed type interning plus memoized fusion, so
-/// each distinct `schema ⊔ shape` step is computed once and duplicates
-/// replay it O(1). Output is byte-identical to the plain route either
-/// way; the modes only trade constant factors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DedupMode {
-    /// Sample the first records and dedup when the data looks redundant —
-    /// see [`dedup_auto_sample`]. The default.
-    #[default]
-    Auto,
-    /// Always dedup.
-    On,
-    /// Never dedup (the classic [`RecordedFuser`] reduce).
-    Off,
-}
-
-/// The `--dedup auto` heuristic over a slice of types: feed up to the
-/// first 512 to a [`DedupSampler`] and take its verdict.
+/// Whether the first 512 of `types` look shape-redundant: at least 64
+/// sampled, and at most half of them distinct. No route depends on it
+/// any more (every schema fold saturates, DESIGN.md §10); benchmarks
+/// report it as a redundancy measure. Only a hash of each sampled type
+/// is kept.
 pub fn dedup_auto_sample<'a>(types: impl IntoIterator<Item = &'a Type>) -> bool {
-    let mut sampler = DedupSampler::default();
-    for ty in types {
-        if sampler.observe(ty).is_some() {
-            break;
-        }
-    }
-    sampler.verdict()
-}
-
-/// The `--dedup auto` rule, one type at a time: sample the first 512
-/// inferred types and pick the dedup route when at least 64 were seen
-/// and at most half of them are distinct. Tiny inputs and structurally
-/// unique streams (every record its own shape, e.g. Wikidata's
-/// ids-as-keys records) stay on the plain route, where interning would
-/// only add overhead.
-///
-/// Only a hash of each sampled type is kept, so sampling wide unique
-/// records costs no memory beyond the sample's hash set.
-#[derive(Debug, Default)]
-pub struct DedupSampler {
-    seen: usize,
-    distinct: HashSet<u64>,
-}
-
-impl DedupSampler {
     const SAMPLE: usize = 512;
     const MIN_SAMPLE: usize = 64;
-
-    /// Observe one more type. Returns the verdict once the sample is
-    /// full (and on every call after), `None` before.
-    pub fn observe(&mut self, ty: &Type) -> Option<bool> {
-        if self.seen < Self::SAMPLE {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            ty.hash(&mut hasher);
-            self.distinct.insert(hasher.finish());
-            self.seen += 1;
-        }
-        (self.seen == Self::SAMPLE).then(|| self.verdict())
+    let mut distinct = HashSet::new();
+    let mut seen = 0;
+    for ty in types.into_iter().take(SAMPLE) {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        ty.hash(&mut hasher);
+        distinct.insert(hasher.finish());
+        seen += 1;
     }
-
-    /// Whether the types observed so far call for dedup.
-    pub fn verdict(&self) -> bool {
-        self.seen >= Self::MIN_SAMPLE && self.distinct.len() * 2 <= self.seen
-    }
+    seen >= MIN_SAMPLE && distinct.len() * 2 <= seen
 }
 
 /// Configuration of a schema-inference run.
@@ -189,10 +141,6 @@ pub struct SchemaJob {
     pub fuse_config: FuseConfig,
     /// Map-phase route for text sources (default: [`MapPath::Events`]).
     pub map_path: MapPath,
-    /// Whether the Reduce phase dedups shapes (default:
-    /// [`DedupMode::Auto`]). Profiled runs ([`SchemaJob::run_profiled`])
-    /// ignore this — they need every raw value for per-path statistics.
-    pub dedup: DedupMode,
     /// Whether to collect per-record type statistics (distinct types,
     /// min/max/avg sizes — the Tables 2–5 columns). Costs one hash-set
     /// insert per record.
@@ -240,7 +188,6 @@ impl SchemaJob {
             reduce_plan: ReducePlan::default(),
             fuse_config: FuseConfig::default(),
             map_path: MapPath::default(),
-            dedup: DedupMode::default(),
             collect_type_stats: true,
             recorder: Recorder::disabled(),
             error_policy: ErrorPolicy::default(),
@@ -249,108 +196,6 @@ impl SchemaJob {
             max_line_bytes: None,
             chaos_panic_at: None,
         }
-    }
-
-    /// Set the worker count.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.runtime = Runtime::new(workers);
-        self
-    }
-
-    /// Set the partition count.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn partitions(mut self, partitions: usize) -> Self {
-        self.partitions = partitions.max(1);
-        self
-    }
-
-    /// Set the reduce topology.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn reduce_plan(mut self, plan: ReducePlan) -> Self {
-        self.reduce_plan = plan;
-        self
-    }
-
-    /// Set the fusion configuration.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn fuse_config(mut self, cfg: FuseConfig) -> Self {
-        self.fuse_config = cfg;
-        self
-    }
-
-    /// Set the Map-phase route for text sources.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn map_path(mut self, path: MapPath) -> Self {
-        self.map_path = path;
-        self
-    }
-
-    /// Set the Reduce-phase dedup mode.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn dedup(mut self, mode: DedupMode) -> Self {
-        self.dedup = mode;
-        self
-    }
-
-    /// Disable per-record type statistics for maximum throughput.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn without_type_stats(mut self) -> Self {
-        self.collect_type_stats = false;
-        self
-    }
-
-    /// Attach an observability recorder. Clones share state, so hold on
-    /// to one clone and snapshot it (or call
-    /// [`SchemaResult::run_report`]) after the run.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Set the error policy for records that fail to parse.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn on_error(mut self, policy: ErrorPolicy) -> Self {
-        self.error_policy = policy;
-        self
-    }
-
-    /// Set the retry policy for transient I/O errors on text sources.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Set the full parser options for text sources.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn parser_options(mut self, options: ParserOptions) -> Self {
-        self.parser_options = options;
-        self
-    }
-
-    /// Set the parser's recursion limit for text sources.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.parser_options.max_depth = depth;
-        self
-    }
-
-    /// Cap a single input line at `cap` bytes; longer lines degrade
-    /// into `RecordTooLarge` parse errors handled per the error policy.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn max_line_bytes(mut self, cap: usize) -> Self {
-        self.max_line_bytes = Some(cap);
-        self
-    }
-
-    /// Fault injection: panic in the Map phase at this 1-based input
-    /// line (text sources), to exercise [`Error::Worker`] isolation.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn chaos_panic_at(mut self, line: u32) -> Self {
-        self.chaos_panic_at = Some(line);
-        self
     }
 
     /// Run the pipeline over any [`Source`].
@@ -371,8 +216,7 @@ impl SchemaJob {
             Source::Dataset(dataset) => self.run_value_dataset(dataset),
             Source::Ndjson(mut reader) => {
                 let wall_start = Instant::now();
-                let shared = SchemaShared::new(self);
-                let folded = fold::run(self, &mut reader, || shared.acc())?;
+                let folded = fold::run(self, &mut reader, || SchemaAcc::new(self))?;
                 let (schema, type_stats) = folded.acc.finish();
                 self.recorder.add("records", folded.records);
                 Ok(SchemaResult {
@@ -568,10 +412,9 @@ impl SchemaJob {
         })
     }
 
-    /// The shared tail of every route: type statistics, trait-driven
-    /// Reduce (Figure 6 on the engine's `reduce_fused`, via
-    /// [`RecordedFuser`] or — when [`DedupMode`] resolves on — the
-    /// shape-dedup [`DedupFuser`]), and result assembly.
+    /// The tail of the in-memory routes: type statistics, the
+    /// trait-driven Reduce (Figure 6 on the engine's `reduce_fused`, via
+    /// [`RecordedFuser`] and so the cap-2 rule), and result assembly.
     fn finish(
         &self,
         types: Dataset<Type>,
@@ -594,24 +437,11 @@ impl SchemaJob {
         };
 
         // ---- Reduce phase: fuse (Figure 6). ----------------------------
-        // Both routes are Fuser strategies on the same engine reduce and
-        // produce byte-identical schemas; dedup only changes constants.
-        let use_dedup = match self.dedup {
-            DedupMode::On => true,
-            DedupMode::Off => false,
-            DedupMode::Auto => dedup_auto_sample(types.iter()),
-        };
         let reduce_start = Instant::now();
         let (fused, reduce_metrics) = {
             let _span = rec.span("pipeline.reduce");
-            if use_dedup {
-                rec.add("infer.dedup", 1);
-                let fuser = DedupFuser::new(self.fuse_config, rec.clone());
-                types.try_reduce_fused(&self.runtime, self.reduce_plan, &fuser, rec)
-            } else {
-                let fuser = RecordedFuser::new(self.fuse_config, rec.clone());
-                types.try_reduce_fused(&self.runtime, self.reduce_plan, &fuser, rec)
-            }
+            let fuser = RecordedFuser::new(self.fuse_config, rec.clone());
+            types.try_reduce_fused(&self.runtime, self.reduce_plan, &fuser, rec)
         };
         let fused = self.surface_worker(fused)?;
         let reduce_time = reduce_start.elapsed();
@@ -973,7 +803,10 @@ mod tests {
         // Same Map/Reduce metric names as the tree route...
         assert_eq!(report.counters["records"], 4);
         assert_eq!(report.counters["infer.types"], 4);
-        assert_eq!(report.counters["fuse.calls"], 3);
+        // ...but one worker folds all four records (one slab), so the
+        // third `{a: Num, b: Str}` is counted, not fused (cap-2 rule).
+        assert_eq!(report.counters["fuse.calls"], 2);
+        assert_eq!(report.counters["fuse.saturated"], 1);
         assert_eq!(report.histograms["infer.record_width"].count, 4);
         // ...plus the event-fold extras.
         assert!(report.counters["infer.events"] > 0);
@@ -1113,40 +946,38 @@ mod tests {
     }
 
     #[test]
-    fn dedup_modes_agree_byte_for_byte() {
-        // Enough repetition that Auto resolves on, with an array-bearing
-        // record so positional-array collapse is exercised.
+    fn saturated_fold_agrees_byte_for_byte() {
+        // Enough repetition that the cap-2 rule skips most records, with
+        // an array-bearing record so positional-array collapse is
+        // exercised.
         let vals: Vec<Value> = values().into_iter().cycle().take(200).collect();
         let data = as_ndjson(&vals);
-        let baseline = JobConfig::new()
-            .dedup(DedupMode::Off)
-            .build()
-            .run_ndjson(data.as_bytes())
-            .unwrap();
-        for mode in [DedupMode::On, DedupMode::Auto] {
-            for path in [MapPath::Events, MapPath::Values] {
-                for workers in [1, 4] {
-                    let r = JobConfig::new()
-                        .dedup(mode)
-                        .map_path(path)
-                        .workers(workers)
-                        .build()
-                        .run_ndjson(data.as_bytes())
-                        .unwrap();
-                    assert_eq!(
-                        r.schema.to_string(),
-                        baseline.schema.to_string(),
-                        "{mode:?} {path:?} {workers}w"
-                    );
-                    assert_eq!(r.records, baseline.records);
-                }
+        let types: Vec<Type> = vals.iter().map(typefuse_infer::infer_type).collect();
+        let spec = typefuse_infer::fuse_all(&types).to_string();
+        for path in [MapPath::Events, MapPath::Values, MapPath::Shape] {
+            for workers in [1, 4] {
+                let r = JobConfig::new()
+                    .map_path(path)
+                    .workers(workers)
+                    .build()
+                    .run_ndjson(data.as_bytes())
+                    .unwrap();
+                assert_eq!(r.schema.to_string(), spec, "{path:?} {workers}w");
+                assert_eq!(r.records, 200);
             }
+        }
+        for parts in [1, 3] {
+            let r = JobConfig::new()
+                .partitions(parts)
+                .build()
+                .run_values(vals.clone());
+            assert_eq!(r.schema.to_string(), spec, "{parts} partitions");
         }
     }
 
     #[test]
     fn auto_picks_dedup_on_redundant_streams_only() {
-        // 200 records, 2 distinct shapes → dedup.
+        // 200 records, 2 distinct shapes → redundant.
         let redundant: Vec<Type> = values()
             .iter()
             .cycle()
@@ -1156,9 +987,9 @@ mod tests {
         assert!(dedup_auto_sample(
             redundant.iter().take(2).chain(&redundant)
         ));
-        // Tiny inputs stay plain regardless of redundancy.
+        // Tiny inputs never count as redundant.
         assert!(!dedup_auto_sample(redundant.iter().take(10)));
-        // Every shape unique → plain.
+        // Every shape unique → not redundant.
         let unique: Vec<Type> = (0..100)
             .map(|i| {
                 let v = typefuse_json::parse_value(&format!("{{\"k{i}\": {i}}}")).unwrap();
@@ -1169,25 +1000,28 @@ mod tests {
     }
 
     #[test]
-    fn dedup_run_reports_cache_and_shape_counters() {
+    fn saturated_run_reports_fuse_and_saturation_counters() {
         let vals: Vec<Value> = values().into_iter().cycle().take(200).collect();
         let rec = Recorder::enabled();
         let r = JobConfig::new()
             .partitions(2)
-            .dedup(DedupMode::On)
             .recorder(rec.clone())
             .build()
             .run_values(vals);
         let report = r.run_report(&rec);
         assert_eq!(report.counters["records"], 200);
-        assert_eq!(report.counters["infer.dedup"], 1);
-        assert_eq!(report.counters["infer.distinct_shapes"], 2);
-        assert!(report.counters["fuse.cache_hits"] > 150, "duplicates hit");
-        assert!(report.counters["fuse.calls"] > 0);
-        assert_eq!(
+        // Each partition moves its first type into ε and then either
+        // fuses or skips every record; one merge joins the partials.
+        let (calls, saturated) = (
             report.counters["fuse.calls"],
-            report.counters["fuse.cache_misses"]
+            report.counters["fuse.saturated"],
         );
+        assert_eq!(calls + saturated, 199);
+        // Two distinct types, fused at most twice per partition.
+        assert!(calls <= 2 * 2 * 2 + 1, "{calls} fusions");
+        for gone in ["infer.dedup", "infer.distinct_shapes", "fuse.cache_hits"] {
+            assert!(!report.counters.contains_key(gone), "{gone}");
+        }
         assert!(report.spans.contains_key("pipeline.reduce"));
     }
 

@@ -6,14 +6,13 @@
 //! and associative (Theorem 5.5), dropping a bad record is a local
 //! decision — a corpus with k bad lines under `Skip`/`Quarantine`
 //! yields *exactly* the schema of the clean subset alone, for every
-//! worker count, map path, and dedup setting.
+//! worker count and map path.
 
 use std::io::BufReader;
 
 use proptest::prelude::*;
 use typefuse::faults::read_quarantine;
 use typefuse::json::testkit::{Fault, FaultyReader};
-use typefuse::pipeline::DedupMode;
 use typefuse::prelude::*;
 use typefuse::{BadRecord, Error, IoSite};
 use typefuse_json::{ErrorKind, Position};
@@ -40,11 +39,10 @@ fn dirty_corpus(records: usize, bad_every: usize) -> (String, String, u64) {
     (dirty, clean, bad)
 }
 
-fn job(workers: usize, map_path: MapPath, dedup: DedupMode) -> JobConfig {
+fn job(workers: usize, map_path: MapPath) -> JobConfig {
     JobConfig::new()
         .workers(workers)
         .map_path(map_path)
-        .dedup(dedup)
         .without_type_stats()
 }
 
@@ -53,27 +51,25 @@ fn skip_matches_the_clean_subset_across_the_whole_matrix() {
     let (dirty, clean, bad) = dirty_corpus(120, 7);
     let mut reference = None;
     for workers in [1, 2, 4] {
-        for map_path in [MapPath::Events, MapPath::Values] {
-            for dedup in [DedupMode::On, DedupMode::Off] {
-                let label = format!("workers={workers} map_path={map_path:?} dedup={dedup:?}");
-                let expect = job(workers, map_path, dedup)
-                    .build()
-                    .run(Source::ndjson(clean.as_bytes()))
-                    .unwrap_or_else(|e| panic!("{label}: clean run failed: {e}"));
-                let got = job(workers, map_path, dedup)
-                    .on_error(ErrorPolicy::skip())
-                    .build()
-                    .run(Source::ndjson(dirty.as_bytes()))
-                    .unwrap_or_else(|e| panic!("{label}: dirty run failed: {e}"));
-                assert_eq!(got.schema, expect.schema, "{label}");
-                assert_eq!(got.records, expect.records, "{label}");
-                assert_eq!(got.errors.skipped(), bad, "{label}");
-                // The error report itself is a monoid: byte-identical
-                // across every configuration.
-                match &reference {
-                    None => reference = Some(got.errors.clone()),
-                    Some(r) => assert_eq!(&got.errors, r, "{label}"),
-                }
+        for map_path in [MapPath::Events, MapPath::Values, MapPath::Shape] {
+            let label = format!("workers={workers} map_path={map_path:?}");
+            let expect = job(workers, map_path)
+                .build()
+                .run(Source::ndjson(clean.as_bytes()))
+                .unwrap_or_else(|e| panic!("{label}: clean run failed: {e}"));
+            let got = job(workers, map_path)
+                .on_error(ErrorPolicy::skip())
+                .build()
+                .run(Source::ndjson(dirty.as_bytes()))
+                .unwrap_or_else(|e| panic!("{label}: dirty run failed: {e}"));
+            assert_eq!(got.schema, expect.schema, "{label}");
+            assert_eq!(got.records, expect.records, "{label}");
+            assert_eq!(got.errors.skipped(), bad, "{label}");
+            // The error report itself is a monoid: byte-identical
+            // across every configuration.
+            match &reference {
+                None => reference = Some(got.errors.clone()),
+                Some(r) => assert_eq!(&got.errors, r, "{label}"),
             }
         }
     }
@@ -170,7 +166,7 @@ fn truncated_final_line_with_and_without_newline() {
             if tail_newline {
                 good.push('\n');
             }
-            let result = job(2, map_path, DedupMode::Off)
+            let result = job(2, map_path)
                 .build()
                 .run(Source::ndjson(good.as_bytes()))
                 .unwrap();
@@ -180,7 +176,7 @@ fn truncated_final_line_with_and_without_newline() {
             if tail_newline {
                 cut.push('\n');
             }
-            let err = job(2, map_path, DedupMode::Off)
+            let err = job(2, map_path)
                 .build()
                 .run(Source::ndjson(cut.as_bytes()))
                 .unwrap_err();
@@ -189,7 +185,7 @@ fn truncated_final_line_with_and_without_newline() {
                 "{map_path:?} newline={tail_newline}: {err}"
             );
 
-            let skipped = job(2, map_path, DedupMode::Off)
+            let skipped = job(2, map_path)
                 .on_error(ErrorPolicy::skip())
                 .build()
                 .run(Source::ndjson(cut.as_bytes()))
@@ -564,11 +560,11 @@ proptest! {
                 clean.push('\n');
             }
         }
-        let expect = job(workers, map_path, DedupMode::Auto)
+        let expect = job(workers, map_path)
             .build()
             .run(Source::ndjson(clean.as_bytes()))
             .unwrap();
-        let got = job(workers, map_path, DedupMode::Auto)
+        let got = job(workers, map_path)
             .on_error(ErrorPolicy::skip())
             .build()
             .run(Source::ndjson(dirty.as_bytes()))

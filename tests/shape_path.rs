@@ -1,14 +1,14 @@
 //! Route-differential suite for the raw-shape signature cache
 //! (`MapPath::Shape`): over every synthetic profile, the shape route
 //! must be byte-identical to the events and tree routes for any worker
-//! count, partitioning, dedup mode, and error policy — including the
+//! count, partitioning and error policy — including the
 //! exact bad-record reports — plus property tests pinning the SWAR
 //! structural scan and signature soundness on adversarial escape,
 //! unicode, and block-boundary inputs.
 
 use proptest::prelude::*;
 use typefuse::faults::ErrorPolicy;
-use typefuse::pipeline::{DedupMode, MapPath, Source};
+use typefuse::pipeline::{MapPath, Source};
 use typefuse::JobConfig;
 use typefuse_datagen::{DatasetProfile, Profile};
 use typefuse_json::scan::{scan, scan_scalar};
@@ -56,25 +56,22 @@ fn shape_route_is_byte_identical_across_the_matrix() {
             .unwrap();
         for workers in [1, 4] {
             for partitions in [1, 5] {
-                for dedup in [DedupMode::Off, DedupMode::On] {
-                    for path in [MapPath::Shape, MapPath::Values] {
-                        let run = JobConfig::new()
-                            .map_path(path)
-                            .workers(workers)
-                            .partitions(partitions)
-                            .dedup(dedup)
-                            .build()
-                            .run(Source::ndjson(text.as_bytes()))
-                            .unwrap();
-                        let tag = format!("{profile} {path:?} w{workers} p{partitions} {dedup:?}");
-                        assert_eq!(
-                            run.schema.to_string(),
-                            baseline.schema.to_string(),
-                            "{tag}: schema text diverged"
-                        );
-                        assert_eq!(run.schema, baseline.schema, "{tag}");
-                        assert_eq!(run.records, baseline.records, "{tag}");
-                    }
+                for path in [MapPath::Shape, MapPath::Values] {
+                    let run = JobConfig::new()
+                        .map_path(path)
+                        .workers(workers)
+                        .partitions(partitions)
+                        .build()
+                        .run(Source::ndjson(text.as_bytes()))
+                        .unwrap();
+                    let tag = format!("{profile} {path:?} w{workers} p{partitions}");
+                    assert_eq!(
+                        run.schema.to_string(),
+                        baseline.schema.to_string(),
+                        "{tag}: schema text diverged"
+                    );
+                    assert_eq!(run.schema, baseline.schema, "{tag}");
+                    assert_eq!(run.records, baseline.records, "{tag}");
                 }
             }
         }
